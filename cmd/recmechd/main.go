@@ -121,7 +121,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "max concurrent mechanism runs (0 = GOMAXPROCS)")
 		compilePar = flag.Int("compile-parallelism", 0, "shared compute-pool workers for fresh compiles: enumeration shards and H/G ladder waves; never changes results, only wall-clock (0 = GOMAXPROCS)")
 		seed       = flag.Int64("seed", 1, "base RNG seed for the noise streams")
-		lpWarm     = flag.Bool("lp-warm-start", true, "seed each H/G ladder LP solve from the nearest prior basis; values are bit-identical either way (certified-or-discard), off only for cold A/B baselines")
 		demo       = flag.Bool("demo", false, "also register a built-in 200-node random graph as \"demo\"")
 		drainFor   = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 		planCache  = flag.Int("plan-cache", 0, "max compiled query plans kept hot (0 = default 512)")
@@ -152,7 +151,6 @@ func main() {
 		Workers:            *workers,
 		CompileParallelism: *compilePar,
 		Seed:               *seed,
-		DisableLPWarmStart: !*lpWarm,
 		PlanEntries:        *planCache,
 		MaxUploadBytes:     *maxUpload,
 		MaxBatchItems:      *maxBatch,

@@ -24,7 +24,7 @@ var (
 // trio tracks SolveSeeded: attempts with a compatible seed, attempts whose
 // certified result was kept, and attempts discarded to the cold path — so
 // WarmApplied/WarmAttempts is the warm-start hit rate, the first thing to
-// look at when fresh-compile latency regresses with -lp-warm-start on.
+// look at when fresh-compile latency regresses.
 type Counters struct {
 	Solves        uint64
 	Pivots        uint64

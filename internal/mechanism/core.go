@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"recmech/internal/lp"
 	"recmech/internal/noise"
 )
 
@@ -23,27 +22,6 @@ type Sequences interface {
 	H(i int) (float64, error)
 	// G returns G_i for 0 ≤ i ≤ |P|.
 	G(i int) (float64, error)
-}
-
-// SeededSequences is the optional Sequences extension the warm-start path
-// uses when the implementation offers it (Efficient does, as does the plan
-// layer's cross-release memo): the same H/G values plus basis handoff — the
-// caller passes the terminal simplex basis of a neighbouring rung's solve
-// and receives this solve's own terminal basis. The ladder of H_i (and G_i)
-// LPs differs rung to rung only in the cardinality right-hand side, so a
-// neighbouring basis stays dual feasible and a dual-simplex warm start
-// replaces phase 1 from scratch. Seeds are a pure performance channel:
-// values must be bit-identical whatever basis is offered (lp.SolveSeeded's
-// certified-or-discard contract), so Core threads bases wherever it can and
-// never thinks about them again.
-type SeededSequences interface {
-	Sequences
-	// HSeeded returns H_i, warm-started from seed when non-nil, plus the
-	// solve's terminal basis (nil when the entry short-circuits or was
-	// served from a memo).
-	HSeeded(i int, seed *lp.Basis) (float64, *lp.Basis, error)
-	// GSeeded is HSeeded for G_i.
-	GSeeded(i int, seed *lp.Basis) (float64, *lp.Basis, error)
 }
 
 // Fanout executes n independent tasks, possibly concurrently, returning
@@ -70,7 +48,10 @@ const ladderWave = 4
 // implementation. A Core is prepared once per database (computing the
 // deterministic Δ) and can then produce any number of independent releases —
 // each release costs the same privacy budget; the sharing only saves
-// computation in experiments that study the error distribution.
+// computation in experiments that study the error distribution. Core knows
+// nothing about how H and G are computed: caching the work behind them
+// (Efficient's LP warm starts, the plan layer's cross-release memo) is the
+// Sequences implementation's business.
 //
 // A Core itself is single-goroutine (one Core per release); with SetFanout
 // it fans each wave of independent sequence probes across a compute pool,
@@ -78,37 +59,11 @@ const ladderWave = 4
 // and any read-only memo wrapper are).
 type Core struct {
 	seq    Sequences
-	seeded SeededSequences // seq's seeded view, nil when it has none
-	warm   bool            // thread warm-start bases through the ladder
-
 	params Params
 	fan    Fanout
 
 	hMemo map[int]float64
 	gMemo map[int]float64
-
-	// Rung-keyed bases for warm starting: the terminal basis of every H
-	// (resp. G) solve so far, keyed by ladder index, so a new rung seeds
-	// from the *nearest* solved rung — the Δ/X searches probe in jumps, and
-	// the dual-simplex distance grows with the right-hand-side gap, so
-	// nearest beats most-recent by a wide pivot margin. The two families
-	// are never mixed — the G LP has extra rows and columns, which the
-	// solver's compatibility check would reject anyway. Owned by the
-	// coordinating goroutine: probeWave hands pre-wave lookups to every
-	// miss in a wave and folds returned bases back in afterwards, so fanned
-	// waves never race on them.
-	// Allocated lazily on the first retained basis: a fully memoized
-	// release ladder never solves, and the prepared hot path's allocation
-	// budget is pinned in CI.
-	hBases map[int]*lp.Basis
-	gBases map[int]*lp.Basis
-
-	// seedScratch backs probeWave's per-wave seed lookups. A local buffer
-	// would escape — the fan-out closure captures the slice — and charge
-	// every wave of a prepared release one heap allocation; as a field it
-	// rides along in the Core's own allocation. Owned by the coordinating
-	// goroutine, like the basis maps.
-	seedScratch [waveMax]*lp.Basis
 
 	delta      float64
 	deltaIndex int // the i with Δ = e^{iβ}θ
@@ -120,36 +75,21 @@ func NewCore(seq Sequences, params Params) (*Core, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Core{
+	return &Core{
 		seq:    seq,
-		warm:   true,
 		params: params,
 		hMemo:  make(map[int]float64),
 		gMemo:  make(map[int]float64),
-	}
-	c.seeded, _ = seq.(SeededSequences)
-	return c, nil
+	}, nil
 }
-
-// SetWarmStart enables or disables warm-start basis handoff between ladder
-// solves (default on). Off means every solve runs the cold path, the A/B
-// baseline: by the solver's exactness contract this changes pivot counts
-// and wall-clock only, never a computed value.
-func (c *Core) SetWarmStart(on bool) { c.warm = on }
 
 func (c *Core) h(i int) (float64, error) {
 	if v, ok := c.hMemo[i]; ok {
 		return v, nil
 	}
-	v, b, err := c.evalSeqSeeded(true, i, c.nearestBasis(true, i))
+	v, err := c.evalSeq(true, i)
 	if err != nil {
 		return 0, err
-	}
-	if b != nil {
-		if c.hBases == nil {
-			c.hBases = make(map[int]*lp.Basis)
-		}
-		c.hBases[i] = b
 	}
 	c.hMemo[i] = v
 	return v, nil
@@ -159,43 +99,12 @@ func (c *Core) g(i int) (float64, error) {
 	if v, ok := c.gMemo[i]; ok {
 		return v, nil
 	}
-	v, b, err := c.evalSeqSeeded(false, i, c.nearestBasis(false, i))
+	v, err := c.evalSeq(false, i)
 	if err != nil {
 		return 0, err
 	}
-	if b != nil {
-		if c.gBases == nil {
-			c.gBases = make(map[int]*lp.Basis)
-		}
-		c.gBases[i] = b
-	}
 	c.gMemo[i] = v
 	return v, nil
-}
-
-// nearestBasis returns the retained basis of the solved rung nearest to i
-// in the requested family (ties to the lower rung), or nil when none is
-// retained yet. The map scan is deterministic despite Go's randomized map
-// order because the (distance, rung) comparison totally orders candidates;
-// the maps hold a few dozen entries at most, so a scan beats keeping a
-// sorted index.
-func (c *Core) nearestBasis(isH bool, i int) *lp.Basis {
-	m := c.gBases
-	if isH {
-		m = c.hBases
-	}
-	var best *lp.Basis
-	bestDist, bestRung := 0, 0
-	for k, b := range m {
-		d := k - i
-		if d < 0 {
-			d = -d
-		}
-		if best == nil || d < bestDist || (d == bestDist && k < bestRung) {
-			best, bestDist, bestRung = b, d, k
-		}
-	}
-	return best
 }
 
 // SetFanout installs the wave executor used by Prepare and XGiven. Set it
@@ -234,27 +143,13 @@ func (c *Core) probeWave(isH bool, idxs []int, vals []float64) error {
 	if len(miss) == 0 {
 		return nil
 	}
-	// Warm-start seeding: every miss in the wave is offered the nearest
-	// solved rung's basis as the maps stood *before* the wave, and
-	// afterwards each returned basis is retained under its own rung. The
-	// rule is deliberately fanout-independent — a serial wave could chain
-	// miss k's basis into miss k+1, but the parallel branch cannot, and one
-	// rule for both keeps the seed (hence pivot-count) telemetry identical
-	// across -compile-parallelism, just like the values themselves.
-	seeds := c.seedScratch[:len(miss)]
-	for m, k := range miss {
-		seeds[m] = c.nearestBasis(isH, idxs[k])
-	}
-	var basisBuf [waveMax]*lp.Basis
-	bases := basisBuf[:len(miss)]
 	if c.fan == nil || len(miss) == 1 {
-		for m, k := range miss {
-			v, b, err := c.evalSeqSeeded(isH, idxs[k], seeds[m])
+		for _, k := range miss {
+			v, err := c.evalSeq(isH, idxs[k])
 			if err != nil {
 				return err
 			}
 			vals[k] = v
-			bases[m] = b
 		}
 	} else {
 		// Fresh copies keep the caller's stack buffers from escaping into
@@ -262,17 +157,15 @@ func (c *Core) probeWave(isH bool, idxs []int, vals []float64) error {
 		// allocations are noise next to the LP solves being overlapped.
 		missIdx := make([]int, len(miss))
 		missVals := make([]float64, len(miss))
-		missBases := make([]*lp.Basis, len(miss))
 		for m, k := range miss {
 			missIdx[m] = idxs[k]
 		}
 		err := c.fan(len(missIdx), func(m int) error {
-			v, b, err := c.evalSeqSeeded(isH, missIdx[m], seeds[m])
+			v, err := c.evalSeq(isH, missIdx[m])
 			if err != nil {
 				return err
 			}
 			missVals[m] = v
-			missBases[m] = b
 			return nil
 		})
 		if err != nil {
@@ -280,23 +173,6 @@ func (c *Core) probeWave(isH bool, idxs []int, vals []float64) error {
 		}
 		for m, k := range miss {
 			vals[k] = missVals[m]
-			bases[m] = missBases[m]
-		}
-	}
-	for m, k := range miss {
-		if bases[m] == nil {
-			continue
-		}
-		if isH {
-			if c.hBases == nil {
-				c.hBases = make(map[int]*lp.Basis)
-			}
-			c.hBases[idxs[k]] = bases[m]
-		} else {
-			if c.gBases == nil {
-				c.gBases = make(map[int]*lp.Basis)
-			}
-			c.gBases[idxs[k]] = bases[m]
 		}
 	}
 	for _, k := range miss {
@@ -305,37 +181,17 @@ func (c *Core) probeWave(isH bool, idxs []int, vals []float64) error {
 	return nil
 }
 
-// evalSeqSeeded evaluates one sequence entry with the standard error
-// wrapping, threading the warm-start seed through when seq offers the
-// seeded view and warm starting is on. The returned basis is nil on the
-// unseeded path (or when the entry produced none).
-func (c *Core) evalSeqSeeded(isH bool, i int, seed *lp.Basis) (float64, *lp.Basis, error) {
-	name := "G"
+// evalSeq evaluates one sequence entry with the standard error wrapping.
+func (c *Core) evalSeq(isH bool, i int) (float64, error) {
+	name, eval := "G", c.seq.G
 	if isH {
-		name = "H"
+		name, eval = "H", c.seq.H
 	}
-	if c.warm && c.seeded != nil {
-		eval := c.seeded.GSeeded
-		if isH {
-			eval = c.seeded.HSeeded
-		}
-		v, b, err := eval(i, seed)
-		if err != nil {
-			return 0, nil, fmt.Errorf("mechanism: %s_%d: %w", name, i, err)
-		}
-		return v, b, nil
-	}
-	var v float64
-	var err error
-	if isH {
-		v, err = c.seq.H(i)
-	} else {
-		v, err = c.seq.G(i)
-	}
+	v, err := eval(i)
 	if err != nil {
-		return 0, nil, fmt.Errorf("mechanism: %s_%d: %w", name, i, err)
+		return 0, fmt.Errorf("mechanism: %s_%d: %w", name, i, err)
 	}
-	return v, nil, nil
+	return v, nil
 }
 
 // waveProbes fills buf with up to ladderWave strictly increasing interior

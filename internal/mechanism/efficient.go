@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"recmech/internal/boolexpr"
 	"recmech/internal/krel"
@@ -29,11 +30,23 @@ import (
 // their total mass is pooled into a single "free mass" variable — the LP size
 // depends on the annotation length L, not on |P| (Theorem 6).
 //
-// Concurrency: after construction (and after SetInterrupt, if used) an
-// Efficient is immutable — every H/G call builds a fresh lp.Problem from
+// Warm starts: the ladder of H_i (and of G_i) LPs differs rung to rung only
+// in the cardinality right-hand side, so the terminal simplex basis of one
+// rung's solve stays dual feasible at its neighbours. Every H/G solve seeds
+// lp.SolveSeeded from the nearest solved rung of its own family and then
+// retains its own terminal basis under its rung; Efficient is the only place
+// that state lives.
+//
+// Concurrency: after construction (and after SetInterrupt, if used) the LP
+// encoding is immutable — every H/G call builds a fresh lp.Problem from
 // read-only state — so any number of goroutines may call H and G
 // simultaneously. This is what lets a Core fanout and the plan layer's
-// cross-release memo run independent ladder solves in parallel.
+// cross-release memo run independent ladder solves in parallel. The one
+// shared mutable piece is the basis cache, guarded by a mutex. It changes
+// which seed a solve starts from, hence pivot counts (which therefore vary
+// with solve order and parallelism), but never a value: lp.SolveSeeded's
+// certified-or-discard contract makes every result bit-identical to a cold
+// solve.
 type Efficient struct {
 	nP     int
 	tuples []krel.Annotated
@@ -45,12 +58,61 @@ type Efficient struct {
 	constSum float64                    // Σ q(t) over tuples with constant-True annotation
 
 	interrupt func() error // polled by the LP solver during H/G solves
+
+	hBases, gBases basisCache // warm-start bases per family; never mixed
+}
+
+// basisCache is one ladder family's warm-start state: the terminal basis of
+// every rung solved so far. The Δ/X searches probe in jumps and the dual
+// simplex's pivot count grows with the right-hand-side gap, so a new rung
+// seeds from the nearest solved rung rather than the most recent one.
+type basisCache struct {
+	mu sync.Mutex
+	m  map[int]*lp.Basis
+}
+
+// nearest returns the basis of the solved rung nearest to i (ties to the
+// lower rung), or nil when none is retained. The (distance, rung)
+// comparison totally orders candidates, so Go's randomized map order cannot
+// change the answer; the map holds a few dozen entries at most, so a scan
+// beats keeping a sorted index.
+func (c *basisCache) nearest(i int) *lp.Basis {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var best *lp.Basis
+	bestDist, bestRung := 0, 0
+	for k, b := range c.m {
+		d := k - i
+		if d < 0 {
+			d = -d
+		}
+		if best == nil || d < bestDist || (d == bestDist && k < bestRung) {
+			best, bestDist, bestRung = b, d, k
+		}
+	}
+	return best
+}
+
+// solve runs p warm-started from the nearest solved rung in c and retains
+// the optimal solve's terminal basis under rung i.
+func (c *basisCache) solve(p *lp.Problem, i int) (lp.Result, SolveInfo, error) {
+	res, err := p.SolveSeeded(c.nearest(i))
+	info := SolveInfo{Pivots: res.Pivots, Rows: p.NumRows(), Cols: p.NumVars(), Warm: res.Warm}
+	if err == nil && res.Status == lp.Optimal && res.Basis != nil {
+		c.mu.Lock()
+		if c.m == nil {
+			c.m = make(map[int]*lp.Basis)
+		}
+		c.m[i] = res.Basis
+		c.mu.Unlock()
+	}
+	return res, info, err
 }
 
 // SetInterrupt installs a cooperative cancellation hook polled by every
 // subsequent H/G LP solve (see lp.Problem.SetInterrupt). Set it once,
 // before the sequences are shared across goroutines (it is the only
-// mutation allowed after construction); fn itself must be safe for
+// setting that may change after construction); fn itself must be safe for
 // concurrent calls. A serving layer uses this to abort solves no live
 // request is waiting for.
 func (e *Efficient) SetInterrupt(fn func() error) { e.interrupt = fn }
@@ -205,28 +267,11 @@ func (e *Efficient) H(i int) (float64, error) {
 
 // HInfo is H plus the solve's SolveInfo, for per-solve tracing.
 func (e *Efficient) HInfo(i int) (float64, SolveInfo, error) {
-	v, info, _, err := e.HInfoSeeded(i, nil)
-	return v, info, err
-}
-
-// HSeeded is the SeededSequences accessor: H_i warm-started from seed (the
-// terminal basis of a neighbouring rung's solve), returning the solve's own
-// terminal basis for the next rung. Values are bit-identical to H(i)
-// whatever the seed — exactness is the solver's contract (lp.SolveSeeded),
-// the seed only skips pivots.
-func (e *Efficient) HSeeded(i int, seed *lp.Basis) (float64, *lp.Basis, error) {
-	v, _, b, err := e.HInfoSeeded(i, seed)
-	return v, b, err
-}
-
-// HInfoSeeded is HSeeded plus the solve's SolveInfo. Entries that
-// short-circuit without an LP return a nil basis.
-func (e *Efficient) HInfoSeeded(i int, seed *lp.Basis) (float64, SolveInfo, *lp.Basis, error) {
 	if i < 0 || i > e.nP {
-		return 0, SolveInfo{}, nil, fmt.Errorf("mechanism: H index %d outside [0,%d]", i, e.nP)
+		return 0, SolveInfo{}, fmt.Errorf("mechanism: H index %d outside [0,%d]", i, e.nP)
 	}
 	if len(e.tuples) == 0 {
-		return e.constSum, SolveInfo{}, nil, nil
+		return e.constSum, SolveInfo{}, nil
 	}
 	p, roots, _ := e.lpBuild(i)
 	offset := e.constSum
@@ -242,21 +287,18 @@ func (e *Efficient) HInfoSeeded(i int, seed *lp.Basis) (float64, SolveInfo, *lp.
 	for col, c := range costs {
 		p.SetCost(col, c)
 	}
-	info := SolveInfo{Rows: p.NumRows(), Cols: p.NumVars()}
-	res, err := p.SolveSeeded(seed)
-	info.Pivots = res.Pivots
-	info.Warm = res.Warm
+	res, info, err := e.hBases.solve(p, i)
 	if err != nil {
-		return 0, info, nil, err
+		return 0, info, err
 	}
 	if res.Status != lp.Optimal {
-		return 0, info, nil, fmt.Errorf("mechanism: H_%d LP is %v", i, res.Status)
+		return 0, info, fmt.Errorf("mechanism: H_%d LP is %v", i, res.Status)
 	}
 	v := res.Objective + offset
 	if v < 0 {
 		v = 0
 	}
-	return v, info, res.Basis, nil
+	return v, info, nil
 }
 
 // G implements Eq. 19 by one LP solve (min z over the per-participant rows,
@@ -266,28 +308,15 @@ func (e *Efficient) G(i int) (float64, error) {
 	return v, err
 }
 
-// GInfo is G plus the solve's SolveInfo, for per-solve tracing.
+// GInfo is G plus the solve's SolveInfo, for per-solve tracing. G solves
+// seed only from G bases: the G LP carries the z variable and the
+// per-participant rows, so an H basis would never fit it.
 func (e *Efficient) GInfo(i int) (float64, SolveInfo, error) {
-	v, info, _, err := e.GInfoSeeded(i, nil)
-	return v, info, err
-}
-
-// GSeeded is the SeededSequences accessor for G; see HSeeded. H and G bases
-// are never interchangeable (the G LP carries the z variable and the
-// per-participant rows), which lp.SolveSeeded enforces by dimension check —
-// an H basis offered to a G solve is simply ignored.
-func (e *Efficient) GSeeded(i int, seed *lp.Basis) (float64, *lp.Basis, error) {
-	v, _, b, err := e.GInfoSeeded(i, seed)
-	return v, b, err
-}
-
-// GInfoSeeded is GSeeded plus the solve's SolveInfo.
-func (e *Efficient) GInfoSeeded(i int, seed *lp.Basis) (float64, SolveInfo, *lp.Basis, error) {
 	if i < 0 || i > e.nP {
-		return 0, SolveInfo{}, nil, fmt.Errorf("mechanism: G index %d outside [0,%d]", i, e.nP)
+		return 0, SolveInfo{}, fmt.Errorf("mechanism: G index %d outside [0,%d]", i, e.nP)
 	}
 	if len(e.tuples) == 0 || i == 0 {
-		return 0, SolveInfo{}, nil, nil
+		return 0, SolveInfo{}, nil
 	}
 	p, roots, _ := e.lpBuild(i)
 	z := p.AddVar(1, 0, math.Inf(1))
@@ -310,21 +339,18 @@ func (e *Efficient) GInfoSeeded(i int, seed *lp.Basis) (float64, SolveInfo, *lp.
 			p.AddConstraint(terms, lp.GE, rhs)
 		}
 	}
-	info := SolveInfo{Rows: p.NumRows(), Cols: p.NumVars()}
-	res, err := p.SolveSeeded(seed)
-	info.Pivots = res.Pivots
-	info.Warm = res.Warm
+	res, info, err := e.gBases.solve(p, i)
 	if err != nil {
-		return 0, info, nil, err
+		return 0, info, err
 	}
 	if res.Status != lp.Optimal {
-		return 0, info, nil, fmt.Errorf("mechanism: G_%d LP is %v", i, res.Status)
+		return 0, info, fmt.Errorf("mechanism: G_%d LP is %v", i, res.Status)
 	}
 	v := 2 * res.Objective
 	if v < 0 {
 		v = 0
 	}
-	return v, info, res.Basis, nil
+	return v, info, nil
 }
 
 func sortVars(vs []boolexpr.Var) {

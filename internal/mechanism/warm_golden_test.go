@@ -1,82 +1,115 @@
 package mechanism
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"recmech/internal/lp"
 )
 
-// TestSeededSolvesBitIdentical is the mechanism-layer leg of the warm×cold
-// golden matrix: H_i and G_i evaluated through the seeded entry points —
-// chained along the ladder, seeded from a distant rung, and even seeded
-// with the other family's basis — must be bit-identical to the plain
-// (family-cached but unseeded) evaluation on a fresh Efficient.
+// TestSeededSolvesBitIdentical pins the warm-start contract where warm
+// starts live: one Efficient's basis cache, filled in several rung orders —
+// ascending, descending, far end first, and from 4 goroutines at once — must
+// return every H_i and G_i bit for bit equal to the first solve of a fresh
+// Efficient at that rung, which runs cold because its cache is empty.
 func TestSeededSolvesBitIdentical(t *testing.T) {
+	before := lp.ReadCounters()
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
 		s := randomSensitive(rng, 4+trial%4, 6+trial, 3)
+		nP := s.NumParticipants()
 
-		ref := mustEfficient(t, s)
-		nP := ref.NumParticipants()
 		wantH := make([]float64, nP+1)
 		wantG := make([]float64, nP+1)
 		for i := 0; i <= nP; i++ {
+			cold := mustEfficient(t, s)
 			var err error
-			if wantH[i], err = ref.H(i); err != nil {
+			if wantH[i], err = cold.H(i); err != nil {
 				t.Fatal(err)
 			}
-			if wantG[i], err = ref.G(i); err != nil {
+			if wantG[i], err = cold.G(i); err != nil {
 				t.Fatal(err)
 			}
 		}
+		check := func(label string, e *Efficient, i int) error {
+			v, err := e.H(i)
+			if err != nil {
+				return fmt.Errorf("%s: H_%d: %v", label, i, err)
+			}
+			if f64bits(v) != f64bits(wantH[i]) {
+				return fmt.Errorf("%s: warm H_%d = %v, cold %v", label, i, v, wantH[i])
+			}
+			if v, err = e.G(i); err != nil {
+				return fmt.Errorf("%s: G_%d: %v", label, i, err)
+			}
+			if f64bits(v) != f64bits(wantG[i]) {
+				return fmt.Errorf("%s: warm G_%d = %v, cold %v", label, i, v, wantG[i])
+			}
+			return nil
+		}
 
-		// Chained: each rung seeded from the previous rung's terminal basis.
+		asc := make([]int, nP+1)
+		desc := make([]int, nP+1)
+		for i := range asc {
+			asc[i], desc[i] = i, nP-i
+		}
+		for _, o := range []struct {
+			name  string
+			rungs []int
+		}{{"ascending", asc}, {"descending", desc}, {"far-first", farFirst(nP)}} {
+			e := mustEfficient(t, s)
+			for _, i := range o.rungs {
+				if err := check(fmt.Sprintf("trial %d %s", trial, o.name), e, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		// Four goroutines share one cache, each sweeping the ladder from a
+		// different starting rung, alternating direction.
 		e := mustEfficient(t, s)
-		var hSeed, gSeed *lp.Basis
-		for i := 0; i <= nP; i++ {
-			v, _, b, err := e.HInfoSeeded(i, hSeed)
-			if err != nil {
-				t.Fatalf("trial %d: HInfoSeeded(%d): %v", trial, i, err)
-			}
-			if f64bits(v) != f64bits(wantH[i]) {
-				t.Fatalf("trial %d: seeded H_%d = %v, want %v", trial, i, v, wantH[i])
-			}
-			if b != nil {
-				hSeed = b
-			}
-			v, _, b, err = e.GInfoSeeded(i, gSeed)
-			if err != nil {
-				t.Fatalf("trial %d: GInfoSeeded(%d): %v", trial, i, err)
-			}
-			if f64bits(v) != f64bits(wantG[i]) {
-				t.Fatalf("trial %d: seeded G_%d = %v, want %v", trial, i, v, wantG[i])
-			}
-			if b != nil {
-				gSeed = b
-			}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for k := 0; k <= nP; k++ {
+					i := (w*(nP+1)/4 + k) % (nP + 1)
+					if w%2 == 1 {
+						i = nP - i
+					}
+					if err := check(fmt.Sprintf("trial %d goroutine %d", trial, w), e, i); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
 		}
-
-		// Adversarial seeds on a third instance: the far end of the ladder,
-		// and the other family's basis (shape-incompatible for G vs H). The
-		// certified-or-discard contract makes every one of these a don't-care
-		// for values.
-		e2 := mustEfficient(t, s)
-		for _, i := range []int{nP, nP / 2, 0} {
-			v, _, _, err := e2.HInfoSeeded(i, gSeed)
-			if err != nil {
-				t.Fatalf("trial %d: cross-seeded H_%d: %v", trial, i, err)
-			}
-			if f64bits(v) != f64bits(wantH[i]) {
-				t.Fatalf("trial %d: cross-seeded H_%d = %v, want %v", trial, i, v, wantH[i])
-			}
-			v, _, _, err = e2.GInfoSeeded(i, hSeed)
-			if err != nil {
-				t.Fatalf("trial %d: cross-seeded G_%d: %v", trial, i, err)
-			}
-			if f64bits(v) != f64bits(wantG[i]) {
-				t.Fatalf("trial %d: cross-seeded G_%d = %v, want %v", trial, i, v, wantG[i])
-			}
-		}
+		wg.Wait()
 	}
+	if after := lp.ReadCounters(); after.WarmApplied == before.WarmApplied {
+		t.Fatal("no solve applied a warm-start seed: the cache never seeded anything")
+	}
+}
+
+// farFirst orders the rungs 0..n the way the Δ search jumps: both ends
+// first, then the midpoints of ever finer brackets, so early solves find
+// their nearest cached rung far away.
+func farFirst(n int) []int {
+	order := []int{n, 0}
+	type bracket struct{ lo, hi int }
+	queue := []bracket{{0, n}}
+	for len(queue) > 0 {
+		b := queue[0]
+		queue = queue[1:]
+		if b.hi-b.lo < 2 {
+			continue
+		}
+		m := (b.lo + b.hi) / 2
+		order = append(order, m)
+		queue = append(queue, bracket{b.lo, m}, bracket{m, b.hi})
+	}
+	return order
 }

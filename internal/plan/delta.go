@@ -24,10 +24,11 @@ import (
 //     across generations (BuildRelation pre-populates the universe in node
 //     order), so a surviving occurrence's tuple encode — annotation and
 //     φ-sensitivity map — is adopted verbatim;
-//   - LP ladder: the predecessor memo's terminal bases seed the new
-//     generation's first solves (lp.SolveSeeded's certified-or-discard
-//     contract), and when the delta changed nothing the workload can see,
-//     the solved H/G values carry over wholesale.
+//   - LP ladder: when the delta changed nothing the workload can see, the
+//     solved H/G values carry over wholesale. Otherwise the new generation
+//     re-solves its whole ladder, warm-started only from its own solves: a
+//     predecessor's bases fit the old LP's shape, so the solver would
+//     discard them and run cold.
 //
 // The contract is bit-identity: a plan produced by Advance releases exactly
 // what a cold CompileContext at the same generation releases. Every splice
@@ -63,8 +64,7 @@ type AdvanceProfile struct {
 	TuplesReused  int `json:"tuplesReused"`
 	TuplesEncoded int `json:"tuplesEncoded"`
 
-	SeedsInherited int `json:"seedsInherited"` // warm bases copied from the predecessor memo
-	ValuesCarried  int `json:"valuesCarried"`  // solved H/G values copied (identical generations only)
+	ValuesCarried int `json:"valuesCarried"` // solved H/G values copied (identical generations only)
 
 	TotalSeconds float64 `json:"totalSeconds"`
 }
@@ -72,42 +72,39 @@ type AdvanceProfile struct {
 // Package-wide delta-compile counters, mirrored into recmech_delta_compile_*
 // by the serving layer's metrics registry.
 var (
-	deltaAdvances       atomic.Uint64
-	deltaFallbacks      atomic.Uint64
-	deltaIdentical      atomic.Uint64
-	deltaTuplesReused   atomic.Uint64
-	deltaTuplesEncoded  atomic.Uint64
-	deltaSeedsInherited atomic.Uint64
-	deltaValuesCarried  atomic.Uint64
-	deltaUnitsTotal     atomic.Uint64
-	deltaUnitsDirty     atomic.Uint64
+	deltaAdvances      atomic.Uint64
+	deltaFallbacks     atomic.Uint64
+	deltaIdentical     atomic.Uint64
+	deltaTuplesReused  atomic.Uint64
+	deltaTuplesEncoded atomic.Uint64
+	deltaValuesCarried atomic.Uint64
+	deltaUnitsTotal    atomic.Uint64
+	deltaUnitsDirty    atomic.Uint64
 )
 
 // DeltaCounters is a snapshot of the process-wide delta-compile counters.
 type DeltaCounters struct {
-	Advances       uint64 // Advance calls that derived the plan incrementally
-	Fallbacks      uint64 // Advance calls that recompiled from scratch
-	Identical      uint64 // advances whose delta changed nothing the workload sees
-	TuplesReused   uint64
-	TuplesEncoded  uint64
-	SeedsInherited uint64
-	ValuesCarried  uint64
-	UnitsTotal     uint64
-	UnitsDirty     uint64
+	Advances      uint64 // Advance calls that derived the plan incrementally
+	Fallbacks     uint64 // Advance calls that recompiled from scratch
+	Identical     uint64 // advances whose delta changed nothing the workload sees
+	TuplesReused  uint64
+	TuplesEncoded uint64
+	ValuesCarried uint64
+	UnitsTotal    uint64
+	UnitsDirty    uint64
 }
 
 // ReadDeltaCounters snapshots the process-wide delta-compile counters.
 func ReadDeltaCounters() DeltaCounters {
 	return DeltaCounters{
-		Advances:       deltaAdvances.Load(),
-		Fallbacks:      deltaFallbacks.Load(),
-		Identical:      deltaIdentical.Load(),
-		TuplesReused:   deltaTuplesReused.Load(),
-		TuplesEncoded:  deltaTuplesEncoded.Load(),
-		SeedsInherited: deltaSeedsInherited.Load(),
-		ValuesCarried:  deltaValuesCarried.Load(),
-		UnitsTotal:     deltaUnitsTotal.Load(),
-		UnitsDirty:     deltaUnitsDirty.Load(),
+		Advances:      deltaAdvances.Load(),
+		Fallbacks:     deltaFallbacks.Load(),
+		Identical:     deltaIdentical.Load(),
+		TuplesReused:  deltaTuplesReused.Load(),
+		TuplesEncoded: deltaTuplesEncoded.Load(),
+		ValuesCarried: deltaValuesCarried.Load(),
+		UnitsTotal:    deltaUnitsTotal.Load(),
+		UnitsDirty:    deltaUnitsDirty.Load(),
 	}
 }
 
@@ -140,7 +137,6 @@ func (p *Plan) Advance(ctx context.Context, src Source, delta Delta, workers *po
 			asp.End()
 			return nil, AdvanceProfile{}, err
 		}
-		np.SetLPWarmStart(!p.lpWarmOff.Load())
 		prof := AdvanceProfile{Fallback: true, Reason: reason, TotalSeconds: time.Since(t0).Seconds()}
 		asp.End()
 		return np, prof, nil
@@ -245,13 +241,12 @@ func (p *Plan) Advance(ctx context.Context, src Source, delta Delta, workers *po
 	live := newLiveSet()
 	seq2.SetInterrupt(live.interrupted)
 	m2 := newMemoSeq(seq2)
-	// Terminal bases always inherit — the solver's certified-or-discard
-	// contract means an incompatible or stale seed can only be discarded or
-	// skip pivots, never change a value. Solved H/G values inherit only when
-	// the generations are provably the same computation: identical match
-	// list over an identical participant universe.
-	vals, seeds := m2.inherit(p.seq, info.Identical && nP2 == p.nP)
-	prof.ValuesCarried, prof.SeedsInherited = vals, seeds
+	// Solved H/G values carry over only when the generations are provably
+	// the same computation: identical match list over an identical
+	// participant universe.
+	if info.Identical && nP2 == p.nP {
+		prof.ValuesCarried = m2.inherit(p.seq)
+	}
 	prof.TotalSeconds = time.Since(t0).Seconds()
 
 	np := &Plan{
@@ -275,20 +270,17 @@ func (p *Plan) Advance(ctx context.Context, src Source, delta Delta, workers *po
 		occ:  occ2,
 		eff:  seq2,
 	}
-	np.SetLPWarmStart(!p.lpWarmOff.Load())
-
 	deltaAdvances.Add(1)
 	if info.Identical {
 		deltaIdentical.Add(1)
 	}
 	deltaTuplesReused.Add(uint64(prof.TuplesReused))
 	deltaTuplesEncoded.Add(uint64(prof.TuplesEncoded))
-	deltaSeedsInherited.Add(uint64(seeds))
-	deltaValuesCarried.Add(uint64(vals))
+	deltaValuesCarried.Add(uint64(prof.ValuesCarried))
 	deltaUnitsTotal.Add(uint64(info.UnitsTotal))
 	deltaUnitsDirty.Add(uint64(info.UnitsDirty))
 	asp.Int("unitsDirty", int64(info.UnitsDirty)).Int("unitsTotal", int64(info.UnitsTotal)).
-		Int("tuplesReused", int64(prof.TuplesReused)).Int("seedsInherited", int64(seeds))
+		Int("tuplesReused", int64(prof.TuplesReused))
 	asp.End()
 	return np, prof, nil
 }

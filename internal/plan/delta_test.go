@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"recmech/internal/graph"
+	"recmech/internal/lp"
 	"recmech/internal/noise"
 	"recmech/internal/pool"
 )
@@ -68,10 +69,10 @@ func releasesMatch(t *testing.T, name string, a, b *Plan) {
 }
 
 // TestGoldenDeltaBitIdentity is the acceptance golden matrix: for every
-// workload kind and privacy model, across parallelism 1 and 4 and warm-start
-// on and off, a plan advanced over an edge delta releases bit-identically to
-// a cold compile of the new generation. SQL (no incremental path) must fall
-// back — and still match.
+// workload kind and privacy model, across parallelism 1 and 4, a plan
+// advanced over an edge delta releases bit-identically to a fresh compile
+// of the new generation. SQL (no incremental path) must fall back — and
+// still match.
 func TestGoldenDeltaBitIdentity(t *testing.T) {
 	graphSrc, sqlSrc := goldenSources(t)
 	ctx := context.Background()
@@ -84,51 +85,47 @@ func TestGoldenDeltaBitIdentity(t *testing.T) {
 	for _, spec := range goldenSpecs() {
 		name, _ := spec.Key()
 		for pname, workers := range pools {
-			for _, warmOn := range []bool{true, false} {
-				src0, src1, d := graphSrc, Source{Graph: g1}, Delta{Added: delta}
-				if spec.Kind == KindSQL {
-					src0, src1, d = sqlSrc, sqlSrc, Delta{}
+			src0, src1, d := graphSrc, Source{Graph: g1}, Delta{Added: delta}
+			if spec.Kind == KindSQL {
+				src0, src1, d = sqlSrc, sqlSrc, Delta{}
+			}
+			base, err := CompileContext(ctx, src0, spec, workers)
+			if err != nil {
+				t.Fatalf("%s: base compile: %v", name, err)
+			}
+			// Warm the base so the advance has solved state to leave behind.
+			if err := base.Warm(ctx, 0.5); err != nil {
+				t.Fatalf("%s: warm: %v", name, err)
+			}
+			adv, prof, err := base.Advance(ctx, src1, d, workers)
+			if err != nil {
+				t.Fatalf("%s: Advance: %v", name, err)
+			}
+			fresh, err := CompileContext(ctx, src1, spec, workers)
+			if err != nil {
+				t.Fatalf("%s: fresh compile: %v", name, err)
+			}
+			label := fmt.Sprintf("%s/%s", name, pname)
+			releasesMatch(t, label, adv, fresh)
+			switch spec.Kind {
+			case KindSQL:
+				if !prof.Fallback || prof.Reason != "sql" {
+					t.Fatalf("%s: SQL advance did not fall back (profile %+v)", label, prof)
 				}
-				base, err := CompileContext(ctx, src0, spec, workers)
-				if err != nil {
-					t.Fatalf("%s: base compile: %v", name, err)
+			case KindTriangles, KindPattern:
+				// Provably collision-free kinds must take the incremental
+				// path; k-stars/k-triangles may honestly fall back when
+				// the dup-key scan fires on this graph.
+				if prof.Fallback {
+					t.Fatalf("%s: unexpected fallback %q", label, prof.Reason)
 				}
-				base.SetLPWarmStart(warmOn)
-				// Warm the base so the advance has terminal bases to inherit.
-				if err := base.Warm(ctx, 0.5); err != nil {
-					t.Fatalf("%s: warm: %v", name, err)
+				// A delta whose edges close no occurrence can honestly
+				// dirty nothing — but then it must report Identical.
+				if prof.UnitsDirty > prof.UnitsTotal || (prof.UnitsDirty == 0 && !prof.Identical) {
+					t.Fatalf("%s: implausible dirtiness %+v", label, prof)
 				}
-				adv, prof, err := base.Advance(ctx, src1, d, workers)
-				if err != nil {
-					t.Fatalf("%s: Advance: %v", name, err)
-				}
-				cold, err := CompileContext(ctx, src1, spec, workers)
-				if err != nil {
-					t.Fatalf("%s: cold compile: %v", name, err)
-				}
-				cold.SetLPWarmStart(warmOn)
-				label := fmt.Sprintf("%s/%s/warm=%v", name, pname, warmOn)
-				releasesMatch(t, label, adv, cold)
-				switch spec.Kind {
-				case KindSQL:
-					if !prof.Fallback || prof.Reason != "sql" {
-						t.Fatalf("%s: SQL advance did not fall back (profile %+v)", label, prof)
-					}
-				case KindTriangles, KindPattern:
-					// Provably collision-free kinds must take the incremental
-					// path; k-stars/k-triangles may honestly fall back when
-					// the dup-key scan fires on this graph.
-					if prof.Fallback {
-						t.Fatalf("%s: unexpected fallback %q", label, prof.Reason)
-					}
-					// A delta whose edges close no occurrence can honestly
-					// dirty nothing — but then it must report Identical.
-					if prof.UnitsDirty > prof.UnitsTotal || (prof.UnitsDirty == 0 && !prof.Identical) {
-						t.Fatalf("%s: implausible dirtiness %+v", label, prof)
-					}
-					if !spec.EdgePrivacy && prof.TuplesReused == 0 && len(base.occ.Matches()) > 0 {
-						t.Fatalf("%s: no tuples reused across a 3-edge delta (profile %+v)", label, prof)
-					}
+				if !spec.EdgePrivacy && prof.TuplesReused == 0 && len(base.occ.Matches()) > 0 {
+					t.Fatalf("%s: no tuples reused across a 3-edge delta (profile %+v)", label, prof)
 				}
 			}
 		}
@@ -162,8 +159,8 @@ func TestAdvanceIdenticalGeneration(t *testing.T) {
 	if !prof.Identical {
 		t.Fatalf("duplicate-edge delta not reported identical: %+v", prof)
 	}
-	if prof.ValuesCarried == 0 || prof.SeedsInherited == 0 {
-		t.Fatalf("identical advance inherited nothing: %+v", prof)
+	if prof.ValuesCarried == 0 {
+		t.Fatalf("identical advance carried no values: %+v", prof)
 	}
 	cold, err := Compile(graphSrc, spec)
 	if err != nil {
@@ -221,6 +218,80 @@ func TestAdvanceChain(t *testing.T) {
 	after := ReadDeltaCounters()
 	if after.Advances <= before.Advances || after.TuplesReused <= before.TuplesReused {
 		t.Fatalf("delta counters did not move: %+v -> %+v", before, after)
+	}
+}
+
+// TestAdvancedFirstReleaseNoCostlierThanFresh pins the cost side of
+// Advance: the first release on an advanced plan must do no more LP pivots
+// than the first release of a fresh compile of the same generation, and
+// release the same bits. An advanced plan that starts from its
+// predecessor's warm-start bases loses this: they fit the old LP's shape,
+// the solver discards them, and every solve runs cold. Sequential (nil
+// pool), so pivot counts are deterministic.
+func TestAdvancedFirstReleaseNoCostlierThanFresh(t *testing.T) {
+	ctx := context.Background()
+	firstRelease := func(p *Plan) (float64, uint64) {
+		t.Helper()
+		before := lp.ReadCounters().Pivots
+		v, err := p.Release(ctx, 0.5, noise.NewRand(99))
+		if err != nil {
+			t.Fatalf("release: %v", err)
+		}
+		return v, lp.ReadCounters().Pivots - before
+	}
+	seeds := []int64{1, 2, 3}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		g0 := graph.RandomAverageDegree(noise.NewRand(seed), 150, 8)
+		for _, spec := range []*Spec{
+			{Kind: KindTriangles},
+			{Kind: KindTriangles, EdgePrivacy: true},
+			{Kind: KindKTriangles, K: 2},
+		} {
+			if err := spec.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			name, _ := spec.Key()
+			p, err := Compile(Source{Graph: g0}, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Warm(ctx, 0.5); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Release(ctx, 0.5, noise.NewRand(seed)); err != nil {
+				t.Fatal(err)
+			}
+			g := g0
+			var advSum, freshSum uint64
+			for step := 1; step <= 3; step++ {
+				delta := absentEdges(g, 3)
+				g2 := applied(g, delta, 0)
+				adv, _, err := p.Advance(ctx, Source{Graph: g2}, Delta{Added: delta}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := CompileContext(ctx, Source{Graph: g2}, spec, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vAdv, pivAdv := firstRelease(adv)
+				vFresh, pivFresh := firstRelease(fresh)
+				if math.Float64bits(vAdv) != math.Float64bits(vFresh) {
+					t.Fatalf("seed %d %s append %d: advanced release %v != fresh %v", seed, name, step, vAdv, vFresh)
+				}
+				if pivAdv > pivFresh {
+					t.Errorf("seed %d %s append %d: advanced plan's first release took %d pivots, fresh compile's %d",
+						seed, name, step, pivAdv, pivFresh)
+				}
+				advSum += pivAdv
+				freshSum += pivFresh
+				p, g = adv, g2
+			}
+			t.Logf("seed %d %s: first-release pivots over 3 appends: advanced %d, fresh %d", seed, name, advSum, freshSum)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"recmech/internal/lp"
 	"recmech/internal/mechanism"
 	"recmech/internal/trace"
 )
@@ -20,54 +19,15 @@ import (
 // is the same value, and not holding the lock across a solve keeps readers
 // of already-memoized entries from stalling behind a miss.
 type memoSeq struct {
-	inner  mechanism.Sequences
-	info   solveInfoSeq  // inner's per-solve variant, when it offers one
-	seeded seededInfoSeq // inner's warm-start variant, when it offers one
+	inner mechanism.Sequences
+	info  solveInfoSeq // inner's per-solve variant, when it offers one
 
 	mu sync.RWMutex
 	h  map[int]float64
 	g  map[int]float64
-	// Cross-release warm bases: the terminal basis of every H (resp. G)
-	// solve on this plan, keyed by rung, from any release. A fresh Core
-	// starts with empty family bases, so without this layer every release's
-	// first H and first G solve would run cold; the memo remembers across
-	// releases — and across the Warm/Release split, where Warm does the Δ
-	// search and a later Release picks up the X search. A miss seeds from
-	// the nearest solved rung (dual-simplex distance tracks the
-	// right-hand-side gap, so nearest beats most-recent). Bases are a pure
-	// performance channel (solver exactness is unconditional), so sharing
-	// them across racing releases needs no more care than the mutex.
-	warmH map[int]*lp.Basis
-	warmG map[int]*lp.Basis
-
-	// warmOff kills seeding (and basis retention) when the plan's
-	// -lp-warm-start gate is off, so the A/B baseline is honestly cold.
-	warmOff atomic.Bool
 
 	hSolves atomic.Uint64 // LP solves performed (misses), for Plan.Solves
 	gSolves atomic.Uint64
-}
-
-func (m *memoSeq) setWarm(on bool) { m.warmOff.Store(!on) }
-
-// nearestLocked returns the retained basis of the solved rung nearest to i
-// (ties to the lower rung) from bases, or nil when it is empty. Callers
-// hold m.mu (read or write). The (distance, rung) comparison totally
-// orders candidates, so Go's randomized map iteration cannot change the
-// answer.
-func nearestLocked(bases map[int]*lp.Basis, i int) *lp.Basis {
-	var best *lp.Basis
-	bestDist, bestRung := 0, 0
-	for k, b := range bases {
-		d := k - i
-		if d < 0 {
-			d = -d
-		}
-		if best == nil || d < bestDist || (d == bestDist && k < bestRung) {
-			best, bestDist, bestRung = b, d, k
-		}
-	}
-	return best
 }
 
 // solveInfoSeq is the optional Sequences extension the traced path prefers:
@@ -79,23 +39,9 @@ type solveInfoSeq interface {
 	GInfo(i int) (float64, mechanism.SolveInfo, error)
 }
 
-// seededInfoSeq is the optional extension combining per-solve info with
-// warm-start basis handoff (mechanism.Efficient provides it). When inner
-// offers it, memo misses seed their LP from the plan's retained basis and
-// hand their own terminal basis back for retention.
-type seededInfoSeq interface {
-	HInfoSeeded(i int, seed *lp.Basis) (float64, mechanism.SolveInfo, *lp.Basis, error)
-	GInfoSeeded(i int, seed *lp.Basis) (float64, mechanism.SolveInfo, *lp.Basis, error)
-}
-
 func newMemoSeq(inner mechanism.Sequences) *memoSeq {
-	m := &memoSeq{
-		inner: inner,
-		h:     make(map[int]float64), g: make(map[int]float64),
-		warmH: make(map[int]*lp.Basis), warmG: make(map[int]*lp.Basis),
-	}
+	m := &memoSeq{inner: inner, h: make(map[int]float64), g: make(map[int]float64)}
 	m.info, _ = inner.(solveInfoSeq)
-	m.seeded, _ = inner.(seededInfoSeq)
 	return m
 }
 
@@ -109,125 +55,70 @@ func (m *memoSeq) G(i int) (float64, error) { return m.gGet(i, nil) }
 // (rung index, pivots, LP size) under the phase span cur points at. Hits
 // touch neither the clock nor the cursor beyond one atomic load.
 func (m *memoSeq) hGet(i int, cur *spanCursor) (float64, error) {
-	v, _, err := m.hGetSeeded(i, cur, nil)
-	return v, err
-}
-
-// gGet is G with span attribution; see hGet.
-func (m *memoSeq) gGet(i int, cur *spanCursor) (float64, error) {
-	v, _, err := m.gGetSeeded(i, cur, nil)
-	return v, err
-}
-
-// hGetSeeded is hGet with warm-start basis handoff: a miss is seeded with
-// the plan's retained basis of the nearest solved H rung (falling back to
-// the caller's seed when the plan has none yet), and the solve's terminal
-// basis is both retained under its rung and returned. Memo hits return a
-// nil basis — there was no solve, so the caller's family basis stands.
-func (m *memoSeq) hGetSeeded(i int, cur *spanCursor, seed *lp.Basis) (float64, *lp.Basis, error) {
-	warmOff := m.warmOff.Load()
 	m.mu.RLock()
 	v, ok := m.h[i]
-	if !warmOff {
-		if b := nearestLocked(m.warmH, i); b != nil {
-			seed = b
-		}
-	}
 	m.mu.RUnlock()
 	if ok {
-		return v, nil, nil
+		return v, nil
 	}
-	if warmOff {
-		seed = nil
-	}
-	v, b, err := m.solveSeeded(i, cur, "h", seed)
+	v, err := m.solve(i, cur, "h")
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	m.hSolves.Add(1)
 	m.mu.Lock()
 	m.h[i] = v
-	if b != nil && !warmOff {
-		m.warmH[i] = b
-	}
 	m.mu.Unlock()
-	return v, b, nil
+	return v, nil
 }
 
-// gGetSeeded is hGetSeeded for G; see there.
-func (m *memoSeq) gGetSeeded(i int, cur *spanCursor, seed *lp.Basis) (float64, *lp.Basis, error) {
-	warmOff := m.warmOff.Load()
+// gGet is G with span attribution; see hGet.
+func (m *memoSeq) gGet(i int, cur *spanCursor) (float64, error) {
 	m.mu.RLock()
 	v, ok := m.g[i]
-	if !warmOff {
-		if b := nearestLocked(m.warmG, i); b != nil {
-			seed = b
-		}
-	}
 	m.mu.RUnlock()
 	if ok {
-		return v, nil, nil
+		return v, nil
 	}
-	if warmOff {
-		seed = nil
-	}
-	v, b, err := m.solveSeeded(i, cur, "g", seed)
+	v, err := m.solve(i, cur, "g")
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	m.gSolves.Add(1)
 	m.mu.Lock()
 	m.g[i] = v
-	if b != nil && !warmOff {
-		m.warmG[i] = b
-	}
 	m.mu.Unlock()
-	return v, b, nil
+	return v, nil
 }
 
-// solveSeeded runs one H or G evaluation, threading the warm-start seed
-// when inner offers the seeded variant and recording an lp.solve span (now
-// including the seed's disposition) when the release is traced. A nil seed
-// with a seeded inner still uses the seeded call — the solver treats it as
-// a cold solve and hands back a basis worth retaining.
-func (m *memoSeq) solveSeeded(i int, cur *spanCursor, seq string, seed *lp.Basis) (float64, *lp.Basis, error) {
+// solve runs one H or G evaluation, recording an lp.solve span (with the
+// solve's warm-start disposition) when the release is traced and inner
+// reports per-solve info.
+func (m *memoSeq) solve(i int, cur *spanCursor, seq string) (float64, error) {
 	sp := trace.StartChild(cur.get(), "lp.solve")
-	if m.seeded == nil {
-		var v float64
-		var err error
-		if sp != nil && m.info != nil {
-			var info mechanism.SolveInfo
-			if seq == "h" {
-				v, info, err = m.info.HInfo(i)
-			} else {
-				v, info, err = m.info.GInfo(i)
-			}
-			spanInfo(sp, seq, i, info, err)
+	if sp != nil && m.info != nil {
+		var (
+			v    float64
+			info mechanism.SolveInfo
+			err  error
+		)
+		if seq == "h" {
+			v, info, err = m.info.HInfo(i)
 		} else {
-			if seq == "h" {
-				v, err = m.inner.H(i)
-			} else {
-				v, err = m.inner.G(i)
-			}
-			sp.End() // sp can be non-nil here (info-less inner); still close it
+			v, info, err = m.info.GInfo(i)
 		}
-		return v, nil, err
-	}
-	var (
-		v    float64
-		info mechanism.SolveInfo
-		b    *lp.Basis
-		err  error
-	)
-	if seq == "h" {
-		v, info, b, err = m.seeded.HInfoSeeded(i, seed)
-	} else {
-		v, info, b, err = m.seeded.GInfoSeeded(i, seed)
-	}
-	if sp != nil {
 		spanInfo(sp, seq, i, info, err)
+		return v, err
 	}
-	return v, b, err
+	var v float64
+	var err error
+	if seq == "h" {
+		v, err = m.inner.H(i)
+	} else {
+		v, err = m.inner.G(i)
+	}
+	sp.End() // sp can be non-nil here (info-less inner); still close it
+	return v, err
 }
 
 // spanInfo stamps and closes an lp.solve span with the solve's cost and
@@ -246,38 +137,21 @@ func (m *memoSeq) solves() (h, g uint64) {
 	return m.hSolves.Load(), m.gSolves.Load()
 }
 
-// inherit copies the predecessor generation's retained terminal bases into
-// this memo, so the first release on a delta-compiled plan seeds its H/G
-// solves from the parent generation instead of running cold. Bases are a
-// pure performance channel — an incompatible seed is discarded inside the
-// solver and exactness is unconditional either way (certified-or-discard) —
-// so inheritance can only skip pivots, never change a bit. When values is
-// true (the delta left the LP encoding semantically identical: same tuples,
-// same participant count, node privacy), the solved H/G values themselves
-// carry over too and the new generation's first release skips those solves
-// entirely.
-func (m *memoSeq) inherit(from *memoSeq, values bool) (vals, seeds int) {
+// inherit copies the predecessor generation's solved H/G values into this
+// memo, so the new generation's first release skips those solves entirely.
+// Callers must have proven the two generations are the same computation
+// (same tuples, same participant count); any other advanced plan starts
+// from an empty memo and re-solves its ladder.
+func (m *memoSeq) inherit(from *memoSeq) int {
 	from.mu.RLock()
 	defer from.mu.RUnlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i, b := range from.warmH {
-		m.warmH[i] = b
-		seeds++
+	for i, v := range from.h {
+		m.h[i] = v
 	}
-	for i, b := range from.warmG {
-		m.warmG[i] = b
-		seeds++
+	for i, v := range from.g {
+		m.g[i] = v
 	}
-	if values {
-		for i, v := range from.h {
-			m.h[i] = v
-			vals++
-		}
-		for i, v := range from.g {
-			m.g[i] = v
-			vals++
-		}
-	}
-	return vals, seeds
+	return len(from.h) + len(from.g)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -197,9 +196,6 @@ func TestCompileCancelHammer(t *testing.T) {
 					cancel()
 					continue
 				}
-				// Half the surviving plans run their ladder cold: the warm
-				// gate must not change a bit even under racing cancellation.
-				pl.SetLPWarmStart((worker+rep)%2 == 0)
 				got, err := pl.Release(ctx, 0.5, noise.NewRand(int64(i)))
 				if err != nil {
 					if !errors.Is(err, context.Canceled) {
@@ -239,9 +235,6 @@ func BenchmarkCompileScaling(b *testing.B) {
 			if workers > 1 {
 				p = pool.New(workers)
 			}
-			// RECMECH_LP_WARM_START=0 runs every ladder solve cold — CI's
-			// interleaved warm-vs-cold A/B; default is the production gate (on).
-			warm := os.Getenv("RECMECH_LP_WARM_START") != "0"
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -249,7 +242,6 @@ func BenchmarkCompileScaling(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				pl.SetLPWarmStart(warm)
 				if _, err := pl.Release(ctx, 0.5, noise.NewRand(1)); err != nil {
 					b.Fatal(err)
 				}

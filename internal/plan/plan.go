@@ -15,9 +15,10 @@
 // mechanism.
 //
 // Concurrency: a Plan is immutable after Compile except for its internal
-// sequence memo, which is guarded by a read-write lock, so any number of
-// goroutines may call Release on one Plan simultaneously. Cache adds a
-// bounded, singleflight-coalescing plan cache for serving layers.
+// sequence memo and the LP warm-start cache of the mechanism.Efficient
+// beneath it, each guarded by its own lock, so any number of goroutines may
+// call Release on one Plan simultaneously. Cache adds a bounded,
+// singleflight-coalescing plan cache for serving layers.
 //
 // Parallelism: CompileContext attaches a shared compute pool
 // (internal/pool) that shards the subgraph enumeration during compilation
@@ -49,7 +50,6 @@ import (
 	"recmech/internal/estimate"
 	"recmech/internal/graph"
 	"recmech/internal/krel"
-	"recmech/internal/lp"
 	"recmech/internal/mechanism"
 	"recmech/internal/noise"
 	"recmech/internal/pool"
@@ -328,25 +328,6 @@ type Plan struct {
 	spec *Spec
 	occ  *subgraph.Occurrences
 	eff  *mechanism.Efficient
-
-	// lpWarmOff disables LP warm-start basis handoff on this plan's ladder
-	// solves (SetLPWarmStart; the -lp-warm-start service flag lands here).
-	// The zero value — warm start on — is the production default. Purely a
-	// performance switch: the solver's certified-or-discard contract makes
-	// every value bit-identical either way, which the golden warm×cold
-	// matrix pins.
-	lpWarmOff atomic.Bool
-}
-
-// SetLPWarmStart enables or disables warm-start basis handoff between this
-// plan's LP solves (default on). Set it before the plan is shared (the
-// serving layer sets it once at compile time, pre-publication); flipping it
-// later is safe but pointless mid-release.
-func (p *Plan) SetLPWarmStart(on bool) {
-	p.lpWarmOff.Store(!on)
-	if p.seq != nil {
-		p.seq.setWarm(on)
-	}
 }
 
 // CompileProfile records what one compile cost: the workload shape and the
@@ -662,7 +643,6 @@ func (p *Plan) release(ctx context.Context, epsilon float64, rng *rand.Rand, pre
 	if err != nil {
 		return 0, 0, err
 	}
-	core.SetWarmStart(!p.lpWarmOff.Load())
 	p.setFanout(ctx, core)
 	id := p.live.add(ctx)
 	defer p.live.remove(id)
@@ -739,7 +719,6 @@ func (p *Plan) Warm(ctx context.Context, epsilon float64) error {
 	if err != nil {
 		return err
 	}
-	core.SetWarmStart(!p.lpWarmOff.Load())
 	p.setFanout(ctx, core)
 	id := p.live.add(ctx)
 	defer p.live.remove(id)
@@ -809,21 +788,4 @@ func (s ctxSeq) G(i int) (float64, error) {
 		return 0, err
 	}
 	return s.inner.gGet(i, s.cur)
-}
-
-// HSeeded implements mechanism.SeededSequences, forwarding the warm-start
-// basis handoff into the memo layer (which retains bases across releases).
-func (s ctxSeq) HSeeded(i int, seed *lp.Basis) (float64, *lp.Basis, error) {
-	if err := s.ctx.Err(); err != nil {
-		return 0, nil, err
-	}
-	return s.inner.hGetSeeded(i, s.cur, seed)
-}
-
-// GSeeded implements mechanism.SeededSequences; see HSeeded.
-func (s ctxSeq) GSeeded(i int, seed *lp.Basis) (float64, *lp.Basis, error) {
-	if err := s.ctx.Err(); err != nil {
-		return 0, nil, err
-	}
-	return s.inner.gGetSeeded(i, s.cur, seed)
 }

@@ -6,16 +6,21 @@ import (
 	"math"
 	"testing"
 
+	"recmech/internal/lp"
 	"recmech/internal/noise"
 	"recmech/internal/pool"
 )
 
-// TestGoldenWarmMatrix is the plan-layer warm×cold golden matrix: every
-// golden workload (plus a sampled-mode plan, which has no LP state and must
-// shrug the gate off) is compiled and released under warm start on/off ×
-// compile parallelism 1/4, and every cell must reproduce, bit for bit, the
-// releases of the cold sequential reference. Warm starting is a pure
-// performance channel; the first output bit it changes is a solver bug.
+// TestGoldenWarmMatrix is the plan-layer warm-start golden matrix: every
+// golden workload (plus a sampled-mode plan, which has no LP state) is
+// compiled and released at compile parallelism 1 and 4, and every cell
+// must reproduce, bit for bit, the releases of the sequential reference.
+// Each plan's mechanism.Efficient warm-starts its ladder solves from the
+// bases of earlier rungs, and the order in which it fills that cache
+// depends on the parallelism; warm starting is a pure performance channel,
+// so the first output bit it changes is a solver bug. The LP counters
+// prove the warm path actually ran, and that the sampled plan never
+// touched the solver.
 func TestGoldenWarmMatrix(t *testing.T) {
 	graphSrc, sqlSrc := goldenSources(t)
 	ctx := context.Background()
@@ -28,6 +33,7 @@ func TestGoldenWarmMatrix(t *testing.T) {
 	}
 	specs = append(specs, sampled)
 
+	var applied uint64
 	for _, spec := range specs {
 		src := graphSrc
 		if spec.Kind == KindSQL {
@@ -38,12 +44,11 @@ func TestGoldenWarmMatrix(t *testing.T) {
 			name += "/sampled"
 		}
 
-		// Reference: cold (warm start off), fully sequential.
+		// Reference: fully sequential.
 		ref, err := Compile(src, spec)
 		if err != nil {
 			t.Fatalf("%s: reference Compile: %v", name, err)
 		}
-		ref.SetLPWarmStart(false)
 		type cell struct{ eps, v1, v2 float64 }
 		var want []cell
 		for _, eps := range []float64{0.3, 1.1} {
@@ -59,43 +64,49 @@ func TestGoldenWarmMatrix(t *testing.T) {
 			want = append(want, cell{eps, v1, v2})
 		}
 
-		for _, warm := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				label := fmt.Sprintf("%s/warm=%v/workers=%d", name, warm, workers)
-				var workerPool *pool.Pool
-				if workers > 1 {
-					workerPool = p
-				}
-				pl, err := CompileContext(ctx, src, spec, workerPool)
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s/workers=%d", name, workers)
+			var workerPool *pool.Pool
+			if workers > 1 {
+				workerPool = p
+			}
+			before := lp.ReadCounters()
+			pl, err := CompileContext(ctx, src, spec, workerPool)
+			if err != nil {
+				t.Fatalf("%s: Compile: %v", label, err)
+			}
+			for _, w := range want {
+				rng := noise.NewRand(33)
+				v1, err := pl.Release(ctx, w.eps, rng)
 				if err != nil {
-					t.Fatalf("%s: Compile: %v", label, err)
+					t.Fatalf("%s: release: %v", label, err)
 				}
-				pl.SetLPWarmStart(warm)
-				for _, w := range want {
-					rng := noise.NewRand(33)
-					v1, err := pl.Release(ctx, w.eps, rng)
-					if err != nil {
-						t.Fatalf("%s: release: %v", label, err)
-					}
-					v2, err := pl.Release(ctx, w.eps, rng)
-					if err != nil {
-						t.Fatalf("%s: release: %v", label, err)
-					}
-					if math.Float64bits(v1) != math.Float64bits(w.v1) ||
-						math.Float64bits(v2) != math.Float64bits(w.v2) {
-						t.Fatalf("%s ε=%g: releases (%v, %v) differ from cold sequential (%v, %v)",
-							label, w.eps, v1, v2, w.v1, w.v2)
-					}
+				v2, err := pl.Release(ctx, w.eps, rng)
+				if err != nil {
+					t.Fatalf("%s: release: %v", label, err)
+				}
+				if math.Float64bits(v1) != math.Float64bits(w.v1) ||
+					math.Float64bits(v2) != math.Float64bits(w.v2) {
+					t.Fatalf("%s ε=%g: releases (%v, %v) differ from sequential (%v, %v)",
+						label, w.eps, v1, v2, w.v1, w.v2)
 				}
 			}
+			after := lp.ReadCounters()
+			if spec.Mode == ModeSampled && after.Solves != before.Solves {
+				t.Errorf("%s: sampled plan ran %d LP solves", label, after.Solves-before.Solves)
+			}
+			applied += after.WarmApplied - before.WarmApplied
 		}
+	}
+	if applied == 0 {
+		t.Error("no LP solve in the matrix applied a warm-start seed")
 	}
 }
 
 // TestGoldenWarmMatrixWarmRelease extends the matrix across the Warm/Release
-// split: a plan warmed through the pool with warm starting on (the memo
-// retains bases from the Warm-phase Δ search that the Release-phase X search
-// then reuses) must still release the cold sequential bits.
+// split: a plan warmed sequentially or through the pool (the Warm-phase Δ
+// and X searches fill the plan's ladder, warm-starting as they go) must
+// still release the bits of an unwarmed sequential plan.
 func TestGoldenWarmMatrixWarmRelease(t *testing.T) {
 	graphSrc, _ := goldenSources(t)
 	ctx := context.Background()
@@ -109,18 +120,20 @@ func TestGoldenWarmMatrixWarmRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.SetLPWarmStart(false)
 	want, err := ref.Release(ctx, 0.5, noise.NewRand(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, warm := range []bool{false, true} {
-		pl, err := CompileContext(ctx, graphSrc, spec, p)
+	for _, workers := range []int{1, 4} {
+		var workerPool *pool.Pool
+		if workers > 1 {
+			workerPool = p
+		}
+		pl, err := CompileContext(ctx, graphSrc, spec, workerPool)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl.SetLPWarmStart(warm)
 		if err := pl.Warm(ctx, 0.5); err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +142,7 @@ func TestGoldenWarmMatrixWarmRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("warm=%v: warmed release %v != cold sequential %v", warm, got, want)
+			t.Fatalf("workers=%d: warmed release %v != unwarmed sequential %v", workers, got, want)
 		}
 	}
 }

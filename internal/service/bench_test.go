@@ -21,15 +21,12 @@ func benchService(b *testing.B) *Service {
 	// tracing forced on (=1) against the default-off configuration, to
 	// measure tracing overhead under identical load.
 	sample, _ := strconv.Atoi(os.Getenv("RECMECH_TRACE_SAMPLE"))
-	// RECMECH_LP_WARM_START=0 runs the ladder cold for CI's interleaved
-	// warm-vs-cold A/B; any other value keeps the production default (on).
 	svc := New(Config{
-		DatasetBudget:      1e18, // effectively unmetered: the benchmark measures the hot path
-		DefaultEpsilon:     0.5,
-		Workers:            1,
-		Seed:               1,
-		TraceSampleEvery:   sample,
-		DisableLPWarmStart: os.Getenv("RECMECH_LP_WARM_START") == "0",
+		DatasetBudget:    1e18, // effectively unmetered: the benchmark measures the hot path
+		DefaultEpsilon:   0.5,
+		Workers:          1,
+		Seed:             1,
+		TraceSampleEvery: sample,
 	})
 	const table = `
 x y

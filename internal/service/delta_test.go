@@ -642,7 +642,6 @@ func TestDeltaCompileCountersExposed(t *testing.T) {
 		"recmech_delta_compile_fallbacks_total",
 		"recmech_delta_compile_tuples_reused_total",
 		"recmech_delta_compile_tuples_encoded_total",
-		"recmech_delta_compile_seeds_inherited_total",
 		"recmech_delta_compile_values_carried_total",
 	} {
 		if v := val(family); v < 0 {

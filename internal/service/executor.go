@@ -41,12 +41,6 @@ type Executor struct {
 	// a query spends blocked on admission before holding a worker slot.
 	met *serviceMetrics
 
-	// lpWarmOff propagates Config.DisableLPWarmStart onto every fresh plan
-	// before it is published to the cache; releases then run their ladder
-	// solves honestly cold for A/B baselines. Set once at construction time
-	// (the service wires it), read only by compile leaders.
-	lpWarmOff bool
-
 	// compiles aggregates the retained profiles of fresh plan compiles
 	// (cache misses led by this executor), for GET /v1/stats.
 	compiles compileRecord
@@ -157,10 +151,6 @@ func (e *Executor) plan(ctx context.Context, ds *Dataset, req *Request) (*plan.P
 	pl, hit, err := e.plans.Do(ctx, key, func() (*plan.Plan, error) {
 		p, err := plan.CompileContext(ctx, plan.Source{Graph: ds.Graph, DB: ds.DB, Universe: ds.Universe}, req.spec, e.compileWorkers())
 		if err == nil {
-			// Pre-publication: the leader sets the warm-start gate before any
-			// waiter (or the cache) can see the plan, so no release ever
-			// observes the gate flipping.
-			p.SetLPWarmStart(!e.lpWarmOff)
 			e.compiles.note(p.Profile())
 		}
 		return p, err

@@ -410,8 +410,6 @@ func (m *serviceMetrics) bind(s *Service) {
 		func() uint64 { return plan.ReadDeltaCounters().TuplesReused })
 	reg.CounterFunc("recmech_delta_compile_tuples_encoded_total", "Tuples re-encoded because their enumeration unit was dirty, process-wide",
 		func() uint64 { return plan.ReadDeltaCounters().TuplesEncoded })
-	reg.CounterFunc("recmech_delta_compile_seeds_inherited_total", "Warm-start LP bases carried from the predecessor memo, process-wide",
-		func() uint64 { return plan.ReadDeltaCounters().SeedsInherited })
 	reg.CounterFunc("recmech_delta_compile_values_carried_total", "Solved H/G values carried over on identical generations, process-wide",
 		func() uint64 { return plan.ReadDeltaCounters().ValuesCarried })
 	reg.CounterFunc("recmech_delta_compile_units_total", "Enumeration units considered by advances, process-wide",
@@ -653,16 +651,15 @@ type ServiceStats struct {
 // delta traffic shows TuplesReused ≫ TuplesEncoded and UnitsDirty ≪
 // UnitsTotal; Fallbacks counts advances that gave up and recompiled.
 type DeltaCompileStats struct {
-	Appends        uint64 `json:"appends"`
-	Advances       uint64 `json:"advances"`
-	Fallbacks      uint64 `json:"fallbacks"`
-	Identical      uint64 `json:"identical"`
-	TuplesReused   uint64 `json:"tuplesReused"`
-	TuplesEncoded  uint64 `json:"tuplesEncoded"`
-	SeedsInherited uint64 `json:"seedsInherited"`
-	ValuesCarried  uint64 `json:"valuesCarried"`
-	UnitsTotal     uint64 `json:"unitsTotal"`
-	UnitsDirty     uint64 `json:"unitsDirty"`
+	Appends       uint64 `json:"appends"`
+	Advances      uint64 `json:"advances"`
+	Fallbacks     uint64 `json:"fallbacks"`
+	Identical     uint64 `json:"identical"`
+	TuplesReused  uint64 `json:"tuplesReused"`
+	TuplesEncoded uint64 `json:"tuplesEncoded"`
+	ValuesCarried uint64 `json:"valuesCarried"`
+	UnitsTotal    uint64 `json:"unitsTotal"`
+	UnitsDirty    uint64 `json:"unitsDirty"`
 }
 
 // EstimatorStats summarizes the estimator tier since boot: how many releases
@@ -872,16 +869,15 @@ func (s *Service) Stats() ServiceStats {
 	}
 	if dc := plan.ReadDeltaCounters(); m.appends.Value() > 0 || dc.Advances+dc.Fallbacks > 0 {
 		st.DeltaCompiles = &DeltaCompileStats{
-			Appends:        m.appends.Value(),
-			Advances:       dc.Advances,
-			Fallbacks:      dc.Fallbacks,
-			Identical:      dc.Identical,
-			TuplesReused:   dc.TuplesReused,
-			TuplesEncoded:  dc.TuplesEncoded,
-			SeedsInherited: dc.SeedsInherited,
-			ValuesCarried:  dc.ValuesCarried,
-			UnitsTotal:     dc.UnitsTotal,
-			UnitsDirty:     dc.UnitsDirty,
+			Appends:       m.appends.Value(),
+			Advances:      dc.Advances,
+			Fallbacks:     dc.Fallbacks,
+			Identical:     dc.Identical,
+			TuplesReused:  dc.TuplesReused,
+			TuplesEncoded: dc.TuplesEncoded,
+			ValuesCarried: dc.ValuesCarried,
+			UnitsTotal:    dc.UnitsTotal,
+			UnitsDirty:    dc.UnitsDirty,
 		}
 	}
 	if s.store != nil {

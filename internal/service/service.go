@@ -42,14 +42,6 @@ type Config struct {
 	// compiles. Parallelism never changes an output bit (see
 	// internal/plan). Default GOMAXPROCS.
 	CompileParallelism int
-	// DisableLPWarmStart turns off warm-start basis handoff between the LP
-	// solves of each plan's H/G ladder (the -lp-warm-start flag, inverted so
-	// the zero-value Config keeps the production default: warm start on).
-	// Purely a performance switch — the solver certifies every warm result
-	// against the canonical basis and re-solves cold on any doubt, so
-	// releases are bit-identical either way. See DESIGN.md "Warm-started
-	// simplex".
-	DisableLPWarmStart bool
 	// Seed makes the noise streams reproducible across runs. Default 1.
 	Seed int64
 	// CacheEntries bounds the release cache; the oldest recorded releases
@@ -214,7 +206,6 @@ func New(cfg Config) *Service {
 			Ring:        cfg.TraceRingEntries,
 		}),
 	}
-	s.exec.lpWarmOff = cfg.DisableLPWarmStart
 	s.exec.met = s.met
 	s.met.bind(s)
 	return s

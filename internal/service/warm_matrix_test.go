@@ -10,12 +10,12 @@ import (
 	"recmech/internal/noise"
 )
 
-// TestWarmStartNeverChangesAnswers is the service-layer warm×cold golden
+// TestWarmStartNeverChangesAnswers is the service-layer warm-start golden
 // matrix: the same seeded workload sequence through services differing only
-// in DisableLPWarmStart × CompileParallelism must produce bit-identical
-// responses — including a sampled-mode request, which has no LP state and
-// must ignore the gate. The LP counters prove the gate is actually wired:
-// warm-on services attempt seeds, warm-off services never do.
+// in CompileParallelism, which changes the order in which each plan fills
+// its LP warm-start cache, must produce bit-identical responses — including
+// a sampled-mode request, which has no LP state. The LP counters prove the
+// warm path actually ran: every service applies some warm-start seed.
 func TestWarmStartNeverChangesAnswers(t *testing.T) {
 	g := graph.RandomAverageDegree(noise.NewRand(3), 16, 4)
 	requests := []Request{
@@ -27,43 +27,34 @@ func TestWarmStartNeverChangesAnswers(t *testing.T) {
 	}
 	ctx := context.Background()
 	var want []float64
-	for _, disableWarm := range []bool{false, true} {
-		for _, parallelism := range []int{1, 4} {
-			before := lp.ReadCounters()
-			svc := New(Config{
-				DatasetBudget: 100, Workers: 1, Seed: 9,
-				CompileParallelism: parallelism,
-				DisableLPWarmStart: disableWarm,
-			})
-			if err := svc.AddGraph("g", g); err != nil {
-				t.Fatal(err)
+	for _, parallelism := range []int{1, 4} {
+		before := lp.ReadCounters()
+		svc := New(Config{
+			DatasetBudget: 100, Workers: 1, Seed: 9,
+			CompileParallelism: parallelism,
+		})
+		if err := svc.AddGraph("g", g); err != nil {
+			t.Fatal(err)
+		}
+		var got []float64
+		for _, req := range requests {
+			resp, err := svc.Query(ctx, req)
+			if err != nil {
+				t.Fatalf("parallelism=%d: %+v: %v", parallelism, req, err)
 			}
-			var got []float64
-			for _, req := range requests {
-				resp, err := svc.Query(ctx, req)
-				if err != nil {
-					t.Fatalf("warmOff=%v parallelism=%d: %+v: %v", disableWarm, parallelism, req, err)
-				}
-				got = append(got, resp.Value)
-			}
-			attempts := lp.ReadCounters().WarmAttempts - before.WarmAttempts
-			if disableWarm && attempts != 0 {
-				t.Errorf("warmOff=%v parallelism=%d: %d warm attempts on a warm-off service",
-					disableWarm, parallelism, attempts)
-			}
-			if !disableWarm && attempts == 0 {
-				t.Errorf("warmOff=%v parallelism=%d: no warm attempts on a warm-on service",
-					disableWarm, parallelism)
-			}
-			if want == nil {
-				want = got
-				continue
-			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("warmOff=%v parallelism=%d request %d: value %v differs from first cell's %v",
-						disableWarm, parallelism, i, got[i], want[i])
-				}
+			got = append(got, resp.Value)
+		}
+		if lp.ReadCounters().WarmApplied == before.WarmApplied {
+			t.Errorf("parallelism=%d: no LP solve applied a warm-start seed", parallelism)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("parallelism=%d request %d: value %v differs from parallelism 1's %v",
+					parallelism, i, got[i], want[i])
 			}
 		}
 	}
