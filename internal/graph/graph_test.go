@@ -2,8 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -99,6 +103,29 @@ func TestEdgesSorted(t *testing.T) {
 	if len(edges) != 2 || edges[0] != (Edge{0, 1}) || edges[1] != (Edge{2, 3}) {
 		t.Errorf("Edges = %v", edges)
 	}
+	// Per-node sorting must give exactly the globally sorted edge list.
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(80)
+		g := RandomGNM(rng, n, rng.Intn(4*n))
+		var ref []Edge
+		for u := 0; u < n; u++ {
+			g.EachNeighbor(u, func(v int) {
+				if u < v {
+					ref = append(ref, Edge{u, v})
+				}
+			})
+		}
+		sort.Slice(ref, func(i, j int) bool {
+			if ref[i].U != ref[j].U {
+				return ref[i].U < ref[j].U
+			}
+			return ref[i].V < ref[j].V
+		})
+		if got := g.Edges(); !slices.Equal(got, ref) {
+			t.Fatalf("trial %d: Edges() = %v, want %v", trial, got, ref)
+		}
+	}
 }
 
 func TestCommonNeighbors(t *testing.T) {
@@ -130,6 +157,179 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if h.NumEdges() != 2 || g.NumEdges() != 3 {
 		t.Error("edge counts wrong after clone mutation")
+	}
+}
+
+// edgeModel is an independent reference for one generation: its node
+// count and edge set, kept without any Graph code.
+type edgeModel struct {
+	n     int
+	edges map[Edge]bool
+}
+
+func (m edgeModel) copyModel() edgeModel {
+	c := edgeModel{n: m.n, edges: make(map[Edge]bool, len(m.edges))}
+	for e := range m.edges {
+		c.edges[e] = true
+	}
+	return c
+}
+
+func (m edgeModel) add(u, v int) {
+	if u != v {
+		m.edges[Edge{min(u, v), max(u, v)}] = true
+	}
+}
+
+func (m edgeModel) check(t *testing.T, label string, g *Graph) {
+	t.Helper()
+	if g.NumNodes() != m.n || g.NumEdges() != len(m.edges) {
+		t.Fatalf("%s: %d nodes %d edges, want %d and %d", label, g.NumNodes(), g.NumEdges(), m.n, len(m.edges))
+	}
+	want := make([]Edge, 0, len(m.edges))
+	for e := range m.edges {
+		want = append(want, e)
+	}
+	slices.SortFunc(want, func(a, b Edge) int {
+		if a.U != b.U {
+			return a.U - b.U
+		}
+		return a.V - b.V
+	})
+	if got := g.Edges(); !slices.Equal(got, want) {
+		t.Fatalf("%s: Edges() = %v, want %v", label, got, want)
+	}
+	deg := make([]int, m.n)
+	for e := range m.edges {
+		deg[e.U]++
+		deg[e.V]++
+	}
+	for u := 0; u < m.n; u++ {
+		if g.Degree(u) != deg[u] {
+			t.Fatalf("%s: Degree(%d) = %d, want %d", label, u, g.Degree(u), deg[u])
+		}
+		for v := 0; v < m.n; v++ {
+			if g.HasEdge(u, v) != m.edges[Edge{min(u, v), max(u, v)}] {
+				t.Fatalf("%s: HasEdge(%d,%d) = %v, want %v", label, u, v, g.HasEdge(u, v), !g.HasEdge(u, v))
+			}
+		}
+	}
+}
+
+// TestGenerationsCopyOnWrite is the snapshot contract: generations made by
+// Extend share neighbour sets, yet no write to one generation — Extend,
+// AddEdge, RemoveEdge or RemoveNode — ever shows in another. Random
+// operations land on random generations of a growing chain, and after every
+// step each generation is checked against its independent model.
+func TestGenerationsCopyOnWrite(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(10)
+		m0 := edgeModel{n: n, edges: map[Edge]bool{}}
+		g0 := New(n)
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			g0.AddEdge(u, v)
+			m0.add(u, v)
+		}
+		gens, models := []*Graph{g0}, []edgeModel{m0}
+		for step := 0; step < 40; step++ {
+			i := rng.Intn(len(gens))
+			if step < 2 {
+				i = len(gens) - 1 // a chain of at least three generations
+			}
+			g, m := gens[i], models[i]
+			var op string
+			switch r := rng.Intn(5); {
+			case step < 2 || r == 0:
+				grow := m.n + rng.Intn(3)
+				hm := m.copyModel()
+				hm.n = grow
+				var add []Edge
+				for k := rng.Intn(4); k > 0; k-- {
+					u, v := rng.Intn(grow), rng.Intn(grow)
+					add = append(add, Edge{u, v})
+					hm.add(u, v)
+				}
+				gens, models = append(gens, g.Extend(grow, add)), append(models, hm)
+				op = fmt.Sprintf("Extend(%d, %v) of gen %d", grow, add, i)
+			case r == 1 || r == 2:
+				u, v := rng.Intn(m.n), rng.Intn(m.n)
+				g.AddEdge(u, v)
+				m.add(u, v)
+				op = fmt.Sprintf("AddEdge(%d,%d) on gen %d", u, v, i)
+			case r == 3:
+				u, v := rng.Intn(m.n), rng.Intn(m.n)
+				g.RemoveEdge(u, v)
+				delete(m.edges, Edge{min(u, v), max(u, v)})
+				op = fmt.Sprintf("RemoveEdge(%d,%d) on gen %d", u, v, i)
+			default:
+				v := rng.Intn(m.n)
+				g.RemoveNode(v)
+				for e := range m.edges {
+					if e.U == v || e.V == v {
+						delete(m.edges, e)
+					}
+				}
+				op = fmt.Sprintf("RemoveNode(%d) on gen %d", v, i)
+			}
+			for j := range gens {
+				models[j].check(t, fmt.Sprintf("seed %d step %d after %s: gen %d", seed, step, op, j), gens[j])
+			}
+		}
+	}
+}
+
+// TestExtendConcurrentReaders runs readers of a generation on four
+// goroutines while a writer extends it into a chain and writes to every
+// successor. Run under -race: readers never touch the ownership state
+// Extend changes, and successors copy every set before writing it.
+func TestExtendConcurrentReaders(t *testing.T) {
+	const n = 200
+	g := RandomGNM(rand.New(rand.NewSource(3)), n, 800)
+	want := g.Edges()
+	stop := make(chan struct{})
+	var started, done sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		started.Add(1)
+		done.Add(1)
+		go func(r int) {
+			defer done.Done()
+			for i := 0; ; i++ {
+				u, v := (i*7+r)%n, (i*13+31*r)%n
+				_ = g.HasEdge(u, v)
+				if nb := g.Neighbors(u); len(nb) != g.Degree(u) {
+					t.Errorf("reader %d: Neighbors(%d) has %d entries, degree %d", r, u, len(nb), g.Degree(u))
+				}
+				g.EachNeighbor(v, func(int) {})
+				_ = g.CommonNeighbors(u, v)
+				if i%64 == 0 && len(g.Edges()) != len(want) {
+					t.Errorf("reader %d: %d edges, want %d", r, len(g.Edges()), len(want))
+				}
+				if i == 0 {
+					started.Done()
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}(r)
+	}
+	started.Wait()
+	cur := g
+	for i := 0; i < 50; i++ {
+		next := cur.Extend(n+i, []Edge{{i, n - 1 - i}, {i, n + i - 1}})
+		next.RemoveNode((3 * i) % n)
+		next.RemoveEdge(i, n-1-i)
+		next.AddEdge((5*i)%n, (11*i+1)%n)
+		cur = next
+	}
+	close(stop)
+	done.Wait()
+	if !slices.Equal(g.Edges(), want) {
+		t.Fatal("writes to successors changed the extended generation")
 	}
 }
 
@@ -180,6 +380,11 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"0 x\n",
 		"-1 2\n",
 		"# nodes 2\n0 5\n",
+		// Node counts past MaxNodes, declared or implied, fail before any
+		// allocation.
+		"# nodes 70368744177664\n",
+		"0 70368744177664\n",
+		"# nodes 70368744177664\n0 1\n",
 	}
 	for _, src := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(src)); err == nil {

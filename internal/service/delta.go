@@ -94,18 +94,18 @@ func (s *Service) appendGraph(root *trace.Span, ds *Dataset, ap AppendRequest) (
 	if len(added) == 0 && dg.NumNodes() <= ds.Graph.NumNodes() {
 		return DatasetInfo{}, badRequestf("append carries no new edges or nodes")
 	}
-	g2 := grownClone(ds.Graph, dg.NumNodes())
+	// ReadEdgeList already dropped repeats within the delta, so checking
+	// against the current snapshot alone makes every added edge new.
 	dup := 0
 	for _, e := range added {
-		if g2.HasEdge(e.U, e.V) {
+		if ds.Graph.HasEdge(e.U, e.V) {
 			dup++
-			continue
 		}
-		g2.AddEdge(e.U, e.V)
 	}
 	if dup > 0 {
 		return DatasetInfo{}, badRequestf("append repeats %d edge(s) already present", dup)
 	}
+	g2 := ds.Graph.Extend(dg.NumNodes(), added)
 	root.Int("edges", int64(len(added)))
 
 	var d2 *Dataset
@@ -124,12 +124,9 @@ func (s *Service) appendGraph(root *trace.Span, ds *Dataset, ap AppendRequest) (
 		// of replaying a long chain. Best-effort: a failed materialize
 		// leaves the (fully sufficient) delta chain in place.
 		if len(s.store.DeltasFor(ds.Name)) >= s.cfg.DeltaKeepWindow {
-			var buf bytes.Buffer
-			if err := g2.WriteEdgeList(&buf); err == nil {
-				if _, err := s.store.Datasets().PutGraphFloor(ds.Name, buf.Bytes(), newGen); err == nil {
-					_ = s.store.DropDeltas(ds.Name, newGen)
-					root.Bool("materialized", true)
-				}
+			if _, err := s.store.Datasets().PutBuiltGraph(ds.Name, g2, newGen); err == nil {
+				_ = s.store.DropDeltas(ds.Name, newGen)
+				root.Bool("materialized", true)
 			}
 		}
 		d2 = s.reg.PutGraphVersion(ds.Name, g2, newGen)
@@ -268,18 +265,6 @@ func (s *Service) purgeStale(name, keepPrefix string) int {
 	return s.cache.RemoveFunc(pred) + s.exec.plans.RemoveFunc(pred)
 }
 
-// grownClone copies g into a graph of at least n nodes.
-func grownClone(g *graph.Graph, n int) *graph.Graph {
-	if n < g.NumNodes() {
-		n = g.NumNodes()
-	}
-	g2 := graph.New(n)
-	for _, e := range g.Edges() {
-		g2.AddEdge(e.U, e.V)
-	}
-	return g2
-}
-
 // appendRows joins existing table text with appended row lines, normalizing
 // the seam to exactly one newline so the result is what the operator would
 // have uploaded whole.
@@ -316,11 +301,7 @@ func (s *Service) replayDeltas(df *store.DatasetFile) []error {
 			warns = append(warns, fmt.Errorf("service: dataset %q: delta v%d unreadable, later deltas skipped: %w", df.Name, del.Version, err))
 			break
 		}
-		g2 := grownClone(cur.Graph, dg.NumNodes())
-		for _, e := range dg.Edges() {
-			g2.AddEdge(e.U, e.V)
-		}
-		s.reg.PutGraphVersion(df.Name, g2, del.Version)
+		s.reg.PutGraphVersion(df.Name, cur.Graph.Extend(dg.NumNodes(), dg.Edges()), del.Version)
 	}
 	return warns
 }

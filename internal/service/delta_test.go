@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -377,7 +379,10 @@ func TestAppendDurableRecovery(t *testing.T) {
 	if ds.Gen != 2 || !ds.Durable {
 		t.Fatalf("after append: gen %d durable %v, want gen 2 durable", ds.Gen, ds.Durable)
 	}
-	wantEdges := ds.Graph.NumEdges()
+	wantEdges := ds.Graph.Edges()
+	if want := len(g.Edges()) + 2; len(wantEdges) != want {
+		t.Fatalf("after append: %d edges, want %d", len(wantEdges), want)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -395,8 +400,9 @@ func TestAppendDurableRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds2.Gen != 2 || ds2.Graph.NumEdges() != wantEdges {
-		t.Fatalf("recovered gen %d with %d edges, want gen 2 with %d", ds2.Gen, ds2.Graph.NumEdges(), wantEdges)
+	if ds2.Gen != 2 || ds2.Graph.NumNodes() != g.NumNodes() || !slices.Equal(ds2.Graph.Edges(), wantEdges) {
+		t.Fatalf("recovered gen %d with %d nodes and edges %v, want gen 2 with %d nodes and edges %v",
+			ds2.Gen, ds2.Graph.NumNodes(), ds2.Graph.Edges(), g.NumNodes(), wantEdges)
 	}
 	resp2, err := s2.Query(ctx, req)
 	if err != nil {
@@ -445,7 +451,27 @@ func TestAppendKeepWindowMaterializes(t *testing.T) {
 	if df.Version != 3 {
 		t.Fatalf("materialized version %d, want 3 (the fold generation)", df.Version)
 	}
-	wantEdges := g.NumEdges() + len(adds)
+	// The expected generations, built independently of the service: the
+	// fold stored generation 3 (base plus two appends), and recovery must
+	// come back at generation 4 (plus the third).
+	want := g.Clone()
+	for i, a := range adds {
+		var u, v int
+		if _, err := fmt.Sscanf(a, "%d %d", &u, &v); err != nil {
+			t.Fatal(err)
+		}
+		want.AddEdge(u, v)
+		if i == 1 && !slices.Equal(df.Graph.Edges(), want.Edges()) {
+			t.Fatalf("materialized edges %v, want %v", df.Graph.Edges(), want.Edges())
+		}
+	}
+	live, err := s.reg.Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(live.Graph.Edges(), want.Edges()) {
+		t.Fatalf("live edges %v, want %v", live.Graph.Edges(), want.Edges())
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -462,8 +488,56 @@ func TestAppendKeepWindowMaterializes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds2.Gen != 4 || ds2.Graph.NumEdges() != wantEdges {
-		t.Fatalf("recovered gen %d with %d edges, want gen 4 with %d", ds2.Gen, ds2.Graph.NumEdges(), wantEdges)
+	if ds2.Gen != 4 || ds2.Graph.NumNodes() != want.NumNodes() || !slices.Equal(ds2.Graph.Edges(), want.Edges()) {
+		t.Fatalf("recovered gen %d with %d nodes and edges %v, want gen 4 with %d nodes and edges %v",
+			ds2.Gen, ds2.Graph.NumNodes(), ds2.Graph.Edges(), want.NumNodes(), want.Edges())
+	}
+}
+
+// TestAppendKeepsPredecessorSnapshot pins the snapshot contract at the
+// service layer: an append shares neighbour sets with the generation it
+// extends, yet every earlier *Dataset — which in-flight queries may still
+// hold — keeps its graph's edge list, node count and edge count.
+func TestAppendKeepsPredecessorSnapshot(t *testing.T) {
+	s := New(Config{DatasetBudget: 100, Workers: 1, Seed: 5})
+	g := graph.RandomAverageDegree(noise.NewRand(17), 16, 3)
+	if err := s.AddGraph("g", g); err != nil {
+		t.Fatal(err)
+	}
+	type snap struct {
+		ds    *Dataset
+		nodes int
+		edges []graph.Edge
+	}
+	var snaps []snap
+	take := func() {
+		ds, err := s.reg.Get("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap{ds, ds.Graph.NumNodes(), ds.Graph.Edges()})
+	}
+	take()
+	// Every append touches node 0 (freshEdges scans from node 0), so each
+	// generation copies a set the previous one shares onward; the last
+	// also grows the node universe.
+	for _, delta := range []string{strings.Join(freshEdges(g, 2), ""), "# nodes 18\n0 17\n3 16\n"} {
+		if _, err := s.AppendDataset("g", AppendRequest{Edges: delta}); err != nil {
+			t.Fatal(err)
+		}
+		take()
+	}
+	for i, sn := range snaps {
+		if got := sn.ds.Graph; got.NumNodes() != sn.nodes || got.NumEdges() != len(sn.edges) || !slices.Equal(got.Edges(), sn.edges) {
+			t.Errorf("generation %d changed after later appends: %d nodes %d edges, want %d and %d",
+				sn.ds.Gen, got.NumNodes(), got.NumEdges(), sn.nodes, len(sn.edges))
+		}
+		if i > 0 && len(sn.edges) <= len(snaps[i-1].edges) {
+			t.Errorf("generation %d did not grow: %d edges after %d", sn.ds.Gen, len(sn.edges), len(snaps[i-1].edges))
+		}
+	}
+	if n := snaps[len(snaps)-1].nodes; n != 18 {
+		t.Errorf("grown generation has %d nodes, want 18", n)
 	}
 }
 
@@ -667,10 +741,15 @@ func TestAppendValidation(t *testing.T) {
 		{"rows against graph", "g", AppendRequest{Rows: map[string]string{"t": "x"}}},
 		{"unknown dataset", "nope", AppendRequest{Edges: "0 1"}},
 		{"bad edge text", "g", AppendRequest{Edges: "zero one"}},
+		{"declared node count past graph.MaxNodes", "g", AppendRequest{Edges: "# nodes 70368744177664\n"}},
+		{"endpoint past graph.MaxNodes", "g", AppendRequest{Edges: "0 70368744177664\n"}},
 	}
 	for _, tc := range cases {
-		if _, err := s.AppendDataset(tc.ds, tc.ap); err == nil {
+		_, err := s.AppendDataset(tc.ds, tc.ap)
+		if err == nil {
 			t.Errorf("%s: append succeeded, want error", tc.name)
+		} else if tc.ds == "g" && !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: %v, want a bad request", tc.name, err)
 		}
 	}
 	// A duplicate of an existing edge is rejected: the delta-compile

@@ -366,3 +366,52 @@ func TestAdminAPIInMemory(t *testing.T) {
 		t.Errorf("bad edge list: %d, want 400", code)
 	}
 }
+
+// TestNodeCountBoundRejected sends uploads and appends whose declared or
+// implied node count is past graph.MaxNodes: each is a 400 bad_request,
+// in memory and durable alike, and the dataset is left as it was.
+func TestNodeCountBoundRejected(t *testing.T) {
+	const huge = "70368744177664" // 1<<46
+	inMem, _ := newTestServer(t, 3)
+	durable, _ := bootDurable(t, t.TempDir())
+	if code, raw := doJSON(t, http.MethodPut, durable.URL+"/v1/datasets/g",
+		recmech.UploadRequest{Kind: "graph", Graph: socialEdges}); code != http.StatusOK {
+		t.Fatalf("PUT g: %d %s", code, raw)
+	}
+	for name, ts := range map[string]*httptest.Server{"in-memory": inMem, "durable": durable} {
+		for _, text := range []string{"# nodes " + huge + "\n", "0 " + huge + "\n"} {
+			reqs := []struct {
+				method, path string
+				body         any
+			}{
+				{http.MethodPut, "/v1/datasets/huge", recmech.UploadRequest{Kind: "graph", Graph: text}},
+				{http.MethodPatch, "/v1/datasets/g", recmech.AppendRequest{Edges: text}},
+			}
+			for _, r := range reqs {
+				code, raw := doJSON(t, r.method, ts.URL+r.path, r.body)
+				var body map[string]any
+				if err := json.Unmarshal(raw, &body); err != nil {
+					t.Fatalf("%s %s %s %q: %d %s", name, r.method, r.path, text, code, raw)
+				}
+				if code != http.StatusBadRequest || errCode(t, body) != "bad_request" {
+					t.Errorf("%s %s %s %q: %d %s, want 400 bad_request", name, r.method, r.path, text, code, raw)
+				}
+			}
+		}
+		code, raw := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets", nil)
+		var listing struct {
+			Datasets []recmech.DatasetInfo `json:"datasets"`
+		}
+		if code != http.StatusOK || json.Unmarshal(raw, &listing) != nil {
+			t.Fatalf("%s GET /v1/datasets: %d %s", name, code, raw)
+		}
+		for _, d := range listing.Datasets {
+			if d.Name == "huge" {
+				t.Errorf("%s: rejected upload registered %+v", name, d)
+			}
+			if d.Name == "g" && (d.Nodes != 8 || d.Edges != 8) {
+				t.Errorf("%s: rejected append changed g to %d nodes %d edges, want 8 and 8", name, d.Nodes, d.Edges)
+			}
+		}
+	}
+}

@@ -108,8 +108,23 @@ func (d *Datasets) PutGraphFloor(name string, edgeList []byte, floor uint64) (*D
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadData, err)
 	}
+	return d.putGraph(name, g, edgeList, floor)
+}
+
+// PutBuiltGraph is PutGraphFloor for a graph the caller already holds
+// rather than outside input: it stores g's WriteEdgeList text without
+// parsing it back, and the returned dataset carries g itself.
+func (d *Datasets) PutBuiltGraph(name string, g *graph.Graph, floor uint64) (*DatasetFile, error) {
+	var buf bytes.Buffer
+	if err := g.WriteEdgeList(&buf); err != nil {
+		return nil, err
+	}
+	return d.putGraph(name, g, buf.Bytes(), floor)
+}
+
+func (d *Datasets) putGraph(name string, g *graph.Graph, edgeList []byte, floor uint64) (*DatasetFile, error) {
 	df := &DatasetFile{Name: name, Kind: KindGraph, Graph: g}
-	err = d.putVersion(name, KindGraph, nil, df, floor, func(verDir string) error {
+	err := d.putVersion(name, KindGraph, nil, df, floor, func(verDir string) error {
 		return writeFileAtomic(filepath.Join(verDir, "graph.txt"), edgeList, d.nosync)
 	})
 	if err != nil {

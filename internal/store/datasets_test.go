@@ -4,8 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"recmech/internal/graph"
 )
 
 const edgeList = "# nodes 4\n0 1\n1 2\n0 2\n2 3\n"
@@ -32,6 +35,36 @@ func TestDatasetGraphRoundTrip(t *testing.T) {
 	}
 	if got.Kind != KindGraph || got.Graph.NumEdges() != 4 || got.Version != 1 {
 		t.Errorf("load: %+v", got)
+	}
+}
+
+// TestPutBuiltGraph stores a graph the caller already holds: the returned
+// dataset carries that graph itself, the version honours the floor, and a
+// load reads back the same nodes and edges.
+func TestPutBuiltGraph(t *testing.T) {
+	st := openTest(t, t.TempDir())
+	defer st.Close()
+	ds := st.Datasets()
+	if _, err := ds.PutGraph("social", []byte(edgeList)); err != nil {
+		t.Fatal(err)
+	}
+	g := graph.New(6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {4, 5}} {
+		g.AddEdge(e[0], e[1])
+	}
+	df, err := ds.PutBuiltGraph("social", g, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if df.Graph != g || df.Version != 7 || df.Kind != KindGraph {
+		t.Fatalf("put: graph %p (want %p), version %d, kind %q", df.Graph, g, df.Version, df.Kind)
+	}
+	got, err := ds.Load("social")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Version != 7 || got.Graph.NumNodes() != 6 || !slices.Equal(got.Graph.Edges(), g.Edges()) {
+		t.Fatalf("load: version %d, %d nodes, edges %v; want 7, 6, %v", got.Version, got.Graph.NumNodes(), got.Graph.Edges(), g.Edges())
 	}
 }
 
