@@ -103,10 +103,3 @@ func RandomClustered(rng *rand.Rand, n, m int, triadFraction float64) *Graph {
 	}
 	return g
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

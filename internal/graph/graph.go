@@ -6,6 +6,7 @@ package graph
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"maps"
@@ -14,7 +15,7 @@ import (
 	"strings"
 )
 
-// MaxNodes bounds the node count ReadEdgeList accepts, declared or implied
+// MaxNodes bounds the node count ReadEdges accepts, declared or implied
 // by an endpoint: a graph allocates a slot per node before any edge goes
 // in, so an unbounded count would let a few bytes of input ask for
 // gigabytes. 1<<24 is about one node per 4-byte line of a 64 MiB upload.
@@ -280,16 +281,60 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses the format written by WriteEdgeList. Lines starting
-// with '#' other than the header are comments; the header is optional (the
-// node count then defaults to 1 + the maximum endpoint). A node count above
-// MaxNodes, declared or implied, is an error.
+// ReadEdgeList parses the format written by WriteEdgeList into a graph; see
+// ReadEdges for the format and its checks.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
+	n, edges, err := readEdges(r)
+	if err != nil {
+		return nil, err
+	}
+	// Allocate the sets of the nodes the edges name, in node order (own
+	// marks them first): a text naming a few nodes of a large declared
+	// universe costs a few sets, and scans still walk memory in order.
+	g := blank(n)
+	for _, e := range edges {
+		g.own[e.U], g.own[e.V] = true, true
+	}
+	for v, named := range g.own {
+		if named {
+			g.adj[v] = make(map[int]struct{})
+		}
+	}
+	for _, e := range edges {
+		g.AddEdge(e.U, e.V)
+	}
+	return g, nil
+}
+
+// ReadEdges parses the format written by WriteEdgeList into its node count
+// and its edges, without building a graph: the edges are those
+// ReadEdgeList(r).Edges() lists — each with U < V, self-loops and repeats
+// dropped, sorted. Lines starting with '#' other than the "# nodes N"
+// header are comments; the header is optional (the node count then defaults
+// to 1 + the maximum endpoint). A node count above MaxNodes, declared or
+// implied, is an error.
+func ReadEdges(r io.Reader) (int, []Edge, error) {
+	n, edges, err := readEdges(r)
+	if err != nil {
+		return 0, nil, err
+	}
+	slices.SortFunc(edges, func(a, b Edge) int {
+		if a.U != b.U {
+			return cmp.Compare(a.U, b.U)
+		}
+		return cmp.Compare(a.V, b.V)
+	})
+	return n, slices.Compact(edges), nil
+}
+
+// readEdges is the one parser behind ReadEdges and ReadEdgeList. It returns
+// the edges in input order, each with U < V and self-loops dropped; only
+// ReadEdges pays to sort them, since AddEdge drops repeats anyway.
+func readEdges(r io.Reader) (int, []Edge, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 4<<10), 1<<24)
 	n := -1
-	type pair struct{ u, v int }
-	var edges []pair
+	var edges []Edge
 	maxNode := -1
 	for line := 1; sc.Scan(); line++ {
 		text := strings.TrimSpace(sc.Text())
@@ -300,7 +345,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			var declared int
 			if _, err := fmt.Sscanf(text, "# nodes %d", &declared); err == nil {
 				if declared > MaxNodes {
-					return nil, fmt.Errorf("graph: line %d: %d nodes declared, more than the %d allowed", line, declared, MaxNodes)
+					return 0, nil, fmt.Errorf("graph: line %d: %d nodes declared, more than the %d allowed", line, declared, MaxNodes)
 				}
 				n = declared
 			}
@@ -308,53 +353,35 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		}
 		fields := strings.Fields(text)
 		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: want 'u v', got %q", line, text)
+			return 0, nil, fmt.Errorf("graph: line %d: want 'u v', got %q", line, text)
 		}
 		u, err := strconv.Atoi(fields[0])
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %v", line, err)
+			return 0, nil, fmt.Errorf("graph: line %d: %v", line, err)
 		}
 		v, err := strconv.Atoi(fields[1])
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %v", line, err)
+			return 0, nil, fmt.Errorf("graph: line %d: %v", line, err)
 		}
 		if u < 0 || v < 0 {
-			return nil, fmt.Errorf("graph: line %d: negative node id", line)
+			return 0, nil, fmt.Errorf("graph: line %d: negative node id", line)
 		}
 		if u >= MaxNodes || v >= MaxNodes {
-			return nil, fmt.Errorf("graph: line %d: node id %d is beyond the %d nodes allowed", line, max(u, v), MaxNodes)
+			return 0, nil, fmt.Errorf("graph: line %d: node id %d is beyond the %d nodes allowed", line, max(u, v), MaxNodes)
 		}
-		if u > maxNode {
-			maxNode = u
+		maxNode = max(maxNode, u, v)
+		if u != v {
+			edges = append(edges, Edge{min(u, v), max(u, v)})
 		}
-		if v > maxNode {
-			maxNode = v
-		}
-		edges = append(edges, pair{u, v})
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if n < 0 {
 		n = maxNode + 1
 	}
 	if maxNode >= n {
-		return nil, fmt.Errorf("graph: node %d exceeds declared count %d", maxNode, n)
+		return 0, nil, fmt.Errorf("graph: node %d exceeds declared count %d", maxNode, n)
 	}
-	// Allocate the sets of the nodes the edges name, in node order (own
-	// marks them first): a delta naming a few nodes of a large universe
-	// costs a few sets, and scans still walk memory in order.
-	g := blank(n)
-	for _, e := range edges {
-		g.own[e.u], g.own[e.v] = true, true
-	}
-	for v, named := range g.own {
-		if named {
-			g.adj[v] = make(map[int]struct{})
-		}
-	}
-	for _, e := range edges {
-		g.AddEdge(e.u, e.v)
-	}
-	return g, nil
+	return n, edges, nil
 }

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -390,6 +392,63 @@ func TestReadEdgeListErrors(t *testing.T) {
 		if _, err := ReadEdgeList(strings.NewReader(src)); err == nil {
 			t.Errorf("ReadEdgeList(%q) should fail", src)
 		}
+	}
+}
+
+// TestReadEdgesMatchesReadEdgeList is the contract the append path leans
+// on: on random edge-list texts — headers, comments, reversed pairs,
+// self-loops, repeats and malformed lines — ReadEdges returns the node
+// count and edges of the graph ReadEdgeList builds, or the same error.
+func TestReadEdgesMatchesReadEdgeList(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 500; trial++ {
+		var b strings.Builder
+		nodes := 1 + rng.Intn(12)
+		for line := rng.Intn(20); line > 0; line-- {
+			u, v := rng.Intn(nodes+2), rng.Intn(nodes+2)
+			switch rng.Intn(12) {
+			case 0:
+				fmt.Fprintf(&b, "# nodes %d\n", nodes+rng.Intn(4)-1)
+			case 1:
+				b.WriteString("# a comment\n\n")
+			case 2:
+				fmt.Fprintf(&b, "%d %d\n", u, u) // self-loop
+			case 3:
+				fmt.Fprintf(&b, "  %d\t%d  extra\n", u, v)
+			case 4:
+				if rng.Intn(4) == 0 { // malformed, rarely, so most texts parse
+					b.WriteString([]string{"7\n", "x 1\n", "1 -2\n", "3 99999999999\n"}[rng.Intn(4)])
+				}
+			default:
+				fmt.Fprintf(&b, "%d %d\n", u, v)
+			}
+		}
+		text := b.String()
+		n, edges, err := ReadEdges(strings.NewReader(text))
+		g, gerr := ReadEdgeList(strings.NewReader(text))
+		if (err == nil) != (gerr == nil) || (err != nil && err.Error() != gerr.Error()) {
+			t.Fatalf("%q: ReadEdges error %v, ReadEdgeList error %v", text, err, gerr)
+		}
+		if err != nil {
+			continue
+		}
+		if n != g.NumNodes() || !slices.Equal(edges, g.Edges()) {
+			t.Fatalf("%q: ReadEdges = %d nodes %v, ReadEdgeList = %d nodes %v", text, n, edges, g.NumNodes(), g.Edges())
+		}
+	}
+}
+
+// TestReadEdgesLongLines checks the scanner's buffer grows past its 4 KiB
+// start for long lines and still refuses a line over the 16 MiB cap.
+func TestReadEdgesLongLines(t *testing.T) {
+	long := "# " + strings.Repeat("c", 100<<10) + "\n0 1 " + strings.Repeat("x", 100<<10) + "\n1 2\n"
+	n, edges, err := ReadEdges(strings.NewReader(long))
+	if err != nil || n != 3 || len(edges) != 2 {
+		t.Fatalf("100 KiB lines: %d nodes, %v, %v; want 3 nodes and 2 edges", n, edges, err)
+	}
+	huge := "0 1 " + strings.Repeat("x", 1<<24) + "\n"
+	if _, _, err := ReadEdges(strings.NewReader(huge)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line over 16 MiB: %v, want %v", err, bufio.ErrTooLong)
 	}
 }
 

@@ -51,7 +51,7 @@ func TheoreticalAccuracy(p Params, gLast float64, g int, c float64) AccuracyBoun
 // experimental defaults of §6.1 (DefaultParams) at total budget ε. It is
 // the ε-parameterized form the serving layer's accuracy telemetry sweeps:
 // gLast = G_{|P|} is the only data-dependent input, so once a plan has
-// memoized it the bound is closed-form arithmetic at any ε.
+// solved it the bound is closed-form arithmetic at any ε.
 func TheoreticalAccuracyAt(epsilon float64, nodePrivacy bool, gLast float64, g int, c float64) AccuracyBound {
 	return TheoreticalAccuracy(DefaultParams(epsilon, nodePrivacy), gLast, g, c)
 }
@@ -83,7 +83,7 @@ func SampledAccuracy(epsilon, sensCap, c, samplerErr, samplerFail float64) Accur
 // G_{|P|} from its sequences. The bounding factor g must match the
 // Sequences implementation (2 for Efficient, 1 for General).
 func (c *Core) Accuracy(g int, tail float64) (AccuracyBound, error) {
-	gLast, err := c.g(c.seq.NumParticipants())
+	gLast, err := c.evalSeq(false, c.seq.NumParticipants())
 	if err != nil {
 		return AccuracyBound{}, err
 	}

@@ -14,7 +14,9 @@ import (
 // H_j ≤ H_i + (|P|−i)·G_k for k = |P|−⌊(|P|−j)/g⌋.
 //
 // Both accessors must be deterministic (they are consulted by the noise-free
-// part of the mechanism) and may be expensive; Core memoizes every call.
+// part of the mechanism) and may be expensive. Core keeps no copy of what
+// they return: an implementation that holds computed entries offers them
+// through Lookup, as Efficient does.
 type Sequences interface {
 	// NumParticipants returns |P|.
 	NumParticipants() int
@@ -22,6 +24,14 @@ type Sequences interface {
 	H(i int) (float64, error)
 	// G returns G_i for 0 ≤ i ≤ |P|.
 	G(i int) (float64, error)
+}
+
+// Lookup is the optional Sequences extension Core consults before it
+// evaluates a probe: Solved returns H_i (isH) or G_i when the sequences
+// already hold it, computing nothing, and false otherwise. Core evaluates
+// (and fans out) only the probes Solved does not fill.
+type Lookup interface {
+	Solved(isH bool, i int) (float64, bool)
 }
 
 // Fanout executes n independent tasks, possibly concurrently, returning
@@ -49,21 +59,20 @@ const ladderWave = 4
 // deterministic Δ) and can then produce any number of independent releases —
 // each release costs the same privacy budget; the sharing only saves
 // computation in experiments that study the error distribution. Core knows
-// nothing about how H and G are computed: caching the work behind them
-// (Efficient's LP warm starts, the plan layer's cross-release memo) is the
-// Sequences implementation's business.
+// nothing about how H and G are computed and keeps none of their values:
+// holding solved entries (Efficient's per-rung values and warm-start bases)
+// is the Sequences implementation's business, and Core reads them through
+// Lookup when seq offers it.
 //
 // A Core itself is single-goroutine (one Core per release); with SetFanout
 // it fans each wave of independent sequence probes across a compute pool,
-// which requires seq's accessors to be safe for concurrent calls (Efficient
-// and any read-only memo wrapper are).
+// which requires seq's accessors to be safe for concurrent calls
+// (Efficient's are).
 type Core struct {
 	seq    Sequences
+	lookup Lookup // seq's Lookup, or nil
 	params Params
 	fan    Fanout
-
-	hMemo map[int]float64
-	gMemo map[int]float64
 
 	delta      float64
 	deltaIndex int // the i with Δ = e^{iβ}θ
@@ -75,36 +84,8 @@ func NewCore(seq Sequences, params Params) (*Core, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &Core{
-		seq:    seq,
-		params: params,
-		hMemo:  make(map[int]float64),
-		gMemo:  make(map[int]float64),
-	}, nil
-}
-
-func (c *Core) h(i int) (float64, error) {
-	if v, ok := c.hMemo[i]; ok {
-		return v, nil
-	}
-	v, err := c.evalSeq(true, i)
-	if err != nil {
-		return 0, err
-	}
-	c.hMemo[i] = v
-	return v, nil
-}
-
-func (c *Core) g(i int) (float64, error) {
-	if v, ok := c.gMemo[i]; ok {
-		return v, nil
-	}
-	v, err := c.evalSeq(false, i)
-	if err != nil {
-		return 0, err
-	}
-	c.gMemo[i] = v
-	return v, nil
+	lookup, _ := seq.(Lookup)
+	return &Core{seq: seq, lookup: lookup, params: params}, nil
 }
 
 // SetFanout installs the wave executor used by Prepare and XGiven. Set it
@@ -118,27 +99,23 @@ func (c *Core) SetFanout(f Fanout) { c.fan = f }
 const waveMax = ladderWave + 2
 
 // probeWave evaluates H (isH) or G at every index in idxs (≤ waveMax of
-// them), filling vals[k] for idxs[k]. Indices already memoized are served
-// from the memo; the misses are fanned out — or evaluated serially in index
-// order without a fanout, on a zero-allocation path so memoized release
-// ladders stay as cheap as they were before waves existed — and merged into
-// the memo afterwards from the coordinating goroutine, so the memo maps are
-// never written concurrently. Which values come out depends only on idxs,
-// never on the fanout, keeping parallel and sequential execution
-// bit-identical.
+// them), filling vals[k] for idxs[k]. Probes the sequences already hold are
+// filled through Lookup; only the rest are evaluated — fanned out, or
+// serially in index order without a fanout, on a zero-allocation path — so
+// a release whose ladder is already solved never hands a probe to the
+// compute pool. Which values come out depends only on idxs, never on the
+// fanout, keeping parallel and sequential execution bit-identical.
 func (c *Core) probeWave(isH bool, idxs []int, vals []float64) error {
-	memo := c.gMemo
-	if isH {
-		memo = c.hMemo
-	}
 	var missBuf [waveMax]int
 	miss := missBuf[:0]
 	for k, i := range idxs {
-		if v, ok := memo[i]; ok {
-			vals[k] = v
-		} else {
-			miss = append(miss, k)
+		if c.lookup != nil {
+			if v, ok := c.lookup.Solved(isH, i); ok {
+				vals[k] = v
+				continue
+			}
 		}
+		miss = append(miss, k)
 	}
 	if len(miss) == 0 {
 		return nil
@@ -174,9 +151,6 @@ func (c *Core) probeWave(isH bool, idxs []int, vals []float64) error {
 		for m, k := range miss {
 			vals[k] = missVals[m]
 		}
-	}
-	for _, k := range miss {
-		memo[idxs[k]] = vals[k]
 	}
 	return nil
 }
@@ -342,8 +316,8 @@ func (c *Core) XGiven(deltaHat float64) (float64, error) {
 			hi = probes[best+1]
 		}
 	}
-	// Endgame: evaluate the remaining ≤ 3 candidates (mostly memoized
-	// flanks) as one wave and take the minimum.
+	// Endgame: evaluate the remaining ≤ 3 candidates (mostly flanks probed
+	// already) as one wave and take the minimum.
 	idxs := probeBuf[:0]
 	for i := lo; i <= hi; i++ {
 		idxs = append(idxs, i)
@@ -376,7 +350,7 @@ func (c *Core) Release(rng *rand.Rand) (float64, error) {
 
 // TrueAnswer returns H_{|P|}, the exact query answer (not private).
 func (c *Core) TrueAnswer() (float64, error) {
-	return c.h(c.seq.NumParticipants())
+	return c.evalSeq(true, c.seq.NumParticipants())
 }
 
 // Params returns the configured parameters.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"recmech/internal/boolexpr"
 	"recmech/internal/krel"
@@ -30,23 +31,28 @@ import (
 // their total mass is pooled into a single "free mass" variable — the LP size
 // depends on the annotation length L, not on |P| (Theorem 6).
 //
-// Warm starts: the ladder of H_i (and of G_i) LPs differs rung to rung only
-// in the cardinality right-hand side, so the terminal simplex basis of one
-// rung's solve stays dual feasible at its neighbours. Every H/G solve seeds
-// lp.SolveSeeded from the nearest solved rung of its own family and then
-// retains its own terminal basis under its rung; Efficient is the only place
-// that state lives.
+// Solved ladder: the ladder of H_i (and of G_i) LPs differs rung to rung
+// only in the cardinality right-hand side, so the terminal simplex basis of
+// one rung's solve stays dual feasible at its neighbours. Each family keeps,
+// for every rung it has solved, the rung's value beside its terminal basis:
+// a rung asked again returns its value without building an LP, and a new
+// rung seeds lp.SolveSeeded from the nearest solved rung of its own family.
+// Efficient is the only place solved ladder state lives: Solved reads it,
+// Solves counts the solves behind it, and CarryValues hands it to the next
+// generation of an unchanged workload.
 //
 // Concurrency: after construction (and after SetInterrupt, if used) the LP
-// encoding is immutable — every H/G call builds a fresh lp.Problem from
+// encoding is immutable — every solve builds a fresh lp.Problem from
 // read-only state — so any number of goroutines may call H and G
-// simultaneously. This is what lets a Core fanout and the plan layer's
-// cross-release memo run independent ladder solves in parallel. The one
-// shared mutable piece is the basis cache, guarded by a mutex. It changes
-// which seed a solve starts from, hence pivot counts (which therefore vary
-// with solve order and parallelism), but never a value: lp.SolveSeeded's
-// certified-or-discard contract makes every result bit-identical to a cold
-// solve.
+// simultaneously. This is what lets a Core fanout and concurrent releases
+// of one plan run independent ladder solves in parallel. The one shared
+// mutable piece is each family's rung cache, guarded by a read-write lock
+// that no solve holds; callers asking for the same unsolved rung wait for
+// one solve instead of repeating it. Solve order changes which seed a solve
+// starts from, hence pivot counts (which therefore vary with parallelism),
+// but never a value: lp.SolveSeeded's certified-or-discard contract makes
+// every solve of a rung bit-identical to a cold one, so a stored value is
+// the value any later solve would return.
 type Efficient struct {
 	nP     int
 	tuples []krel.Annotated
@@ -59,54 +65,124 @@ type Efficient struct {
 
 	interrupt func() error // polled by the LP solver during H/G solves
 
-	hBases, gBases basisCache // warm-start bases per family; never mixed
+	hRungs, gRungs rungCache // solved rungs per family; never mixed
 }
 
-// basisCache is one ladder family's warm-start state: the terminal basis of
-// every rung solved so far. The Δ/X searches probe in jumps and the dual
-// simplex's pivot count grows with the right-hand-side gap, so a new rung
-// seeds from the nearest solved rung rather than the most recent one.
-type basisCache struct {
-	mu sync.Mutex
-	m  map[int]*lp.Basis
+// rung is one ladder rung: its value and its solve's terminal basis (nil
+// when the solver reported none), or, while solving is set, a placeholder
+// for a solve under way.
+type rung struct {
+	v       float64
+	basis   *lp.Basis
+	solving bool
+}
+
+// rungCache is one ladder family's solved state. The Δ/X searches probe in
+// jumps and the dual simplex's pivot count grows with the right-hand-side
+// gap, so a new rung seeds from the nearest solved rung rather than the most
+// recent one.
+type rungCache struct {
+	mu     sync.RWMutex
+	ended  sync.Cond // broadcast when a solve ends; its L is &mu
+	rungs  map[int]rung
+	solves atomic.Uint64 // rungs this cache solved (carried ones excluded)
+}
+
+// value returns rung i's stored value.
+func (c *rungCache) value(i int) (float64, bool) {
+	c.mu.RLock()
+	r, ok := c.rungs[i]
+	c.mu.RUnlock()
+	return r.v, ok && !r.solving
 }
 
 // nearest returns the basis of the solved rung nearest to i (ties to the
-// lower rung), or nil when none is retained. The (distance, rung)
-// comparison totally orders candidates, so Go's randomized map order cannot
-// change the answer; the map holds a few dozen entries at most, so a scan
-// beats keeping a sorted index.
-func (c *basisCache) nearest(i int) *lp.Basis {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// lower rung), or nil when none is retained; c.mu must be held. The
+// (distance, rung) comparison totally orders candidates, so Go's randomized
+// map order cannot change the answer; the map holds a few dozen entries at
+// most, so a scan beats keeping a sorted index.
+func (c *rungCache) nearest(i int) *lp.Basis {
 	var best *lp.Basis
 	bestDist, bestRung := 0, 0
-	for k, b := range c.m {
+	for k, r := range c.rungs {
+		if r.basis == nil {
+			continue
+		}
 		d := k - i
 		if d < 0 {
 			d = -d
 		}
 		if best == nil || d < bestDist || (d == bestDist && k < bestRung) {
-			best, bestDist, bestRung = b, d, k
+			best, bestDist, bestRung = r.basis, d, k
 		}
 	}
 	return best
 }
 
-// solve runs p warm-started from the nearest solved rung in c and retains
-// the optimal solve's terminal basis under rung i.
-func (c *basisCache) solve(p *lp.Problem, i int) (lp.Result, SolveInfo, error) {
-	res, err := p.SolveSeeded(c.nearest(i))
-	info := SolveInfo{Pivots: res.Pivots, Rows: p.NumRows(), Cols: p.NumVars(), Warm: res.Warm}
-	if err == nil && res.Status == lp.Optimal && res.Basis != nil {
-		c.mu.Lock()
-		if c.m == nil {
-			c.m = make(map[int]*lp.Basis)
+// get returns rung i, calling solve with the nearest solved rung's basis
+// when no caller has solved it yet. A rung is stored only once its solve
+// succeeds; callers that find the rung being solved wait for that solve,
+// and solve it themselves if it fails.
+func (c *rungCache) get(i int, solve func(seed *lp.Basis) (rung, SolveInfo, error)) (float64, SolveInfo, error) {
+	c.mu.Lock()
+	for {
+		r, ok := c.rungs[i]
+		if !ok {
+			break
 		}
-		c.m[i] = res.Basis
-		c.mu.Unlock()
+		if !r.solving {
+			c.mu.Unlock()
+			return r.v, SolveInfo{}, nil
+		}
+		if c.ended.L == nil {
+			c.ended.L = &c.mu
+		}
+		c.ended.Wait()
 	}
-	return res, info, err
+	if c.rungs == nil {
+		c.rungs = make(map[int]rung)
+	}
+	c.rungs[i] = rung{solving: true}
+	seed := c.nearest(i)
+	c.mu.Unlock()
+	// However solve ends, a panic included, the waiters are released.
+	defer func() {
+		c.mu.Lock()
+		if c.rungs[i].solving {
+			delete(c.rungs, i)
+		}
+		c.mu.Unlock()
+		c.ended.Broadcast()
+	}()
+
+	r, info, err := solve(seed)
+	if err == nil {
+		c.mu.Lock()
+		c.rungs[i] = r
+		c.mu.Unlock()
+		c.solves.Add(1)
+	}
+	return r.v, info, err
+}
+
+// carry copies every solved rung of from into c and returns how many it
+// copied.
+func (c *rungCache) carry(from *rungCache) int {
+	from.mu.RLock()
+	defer from.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.rungs == nil {
+		c.rungs = make(map[int]rung, len(from.rungs))
+	}
+	n := 0
+	for i, r := range from.rungs {
+		if !r.solving {
+			c.rungs[i] = r
+			n++
+		}
+	}
+	return n
 }
 
 // SetInterrupt installs a cooperative cancellation hook polled by every
@@ -171,9 +247,10 @@ func (e *Efficient) NumTuples() int { return len(e.tuples) }
 
 // SolveInfo describes one H/G evaluation for observability: the size of
 // the LP built, the simplex pivots it cost, and what became of its
-// warm-start seed. The zero value means the entry short-circuited without
-// building an LP (empty relation, or G_0). Nothing here derives from tuple
-// *values*, only from the workload shape.
+// warm-start seed. The zero value means the entry needed no LP of this
+// call: it was already solved, or it short-circuits (empty relation, or
+// G_0). Nothing here derives from tuple *values*, only from the workload
+// shape.
 type SolveInfo struct {
 	Pivots int            // simplex pivots across both phases
 	Rows   int            // LP constraint rows
@@ -259,7 +336,7 @@ func (e *Efficient) encode(p *lp.Problem, fCols []int, ex *boolexpr.Expr) rootTe
 	panic("mechanism: invalid op")
 }
 
-// H implements Eq. 16 by one LP solve.
+// H implements Eq. 16 by one LP solve per rung.
 func (e *Efficient) H(i int) (float64, error) {
 	v, _, err := e.HInfo(i)
 	return v, err
@@ -270,39 +347,41 @@ func (e *Efficient) HInfo(i int) (float64, SolveInfo, error) {
 	if i < 0 || i > e.nP {
 		return 0, SolveInfo{}, fmt.Errorf("mechanism: H index %d outside [0,%d]", i, e.nP)
 	}
-	if len(e.tuples) == 0 {
-		return e.constSum, SolveInfo{}, nil
+	if v, ok := e.Solved(true, i); ok {
+		return v, SolveInfo{}, nil
 	}
-	p, roots, _ := e.lpBuild(i)
-	offset := e.constSum
-	// Accumulate: distinct tuples may share a root column when their
-	// annotations are the same single variable.
-	costs := make(map[int]float64)
-	for ti, r := range roots {
-		if r.col >= 0 {
-			costs[r.col] += e.weights[ti]
+	return e.hRungs.get(i, func(seed *lp.Basis) (rung, SolveInfo, error) {
+		p, roots, _ := e.lpBuild(i)
+		offset := e.constSum
+		// Accumulate: distinct tuples may share a root column when their
+		// annotations are the same single variable.
+		costs := make(map[int]float64)
+		for ti, r := range roots {
+			if r.col >= 0 {
+				costs[r.col] += e.weights[ti]
+			}
+			offset += e.weights[ti] * r.cons
 		}
-		offset += e.weights[ti] * r.cons
-	}
-	for col, c := range costs {
-		p.SetCost(col, c)
-	}
-	res, info, err := e.hBases.solve(p, i)
-	if err != nil {
-		return 0, info, err
-	}
-	if res.Status != lp.Optimal {
-		return 0, info, fmt.Errorf("mechanism: H_%d LP is %v", i, res.Status)
-	}
-	v := res.Objective + offset
-	if v < 0 {
-		v = 0
-	}
-	return v, info, nil
+		for col, c := range costs {
+			p.SetCost(col, c)
+		}
+		res, info, err := solveSeeded(p, seed)
+		if err != nil {
+			return rung{}, info, err
+		}
+		if res.Status != lp.Optimal {
+			return rung{}, info, fmt.Errorf("mechanism: H_%d LP is %v", i, res.Status)
+		}
+		v := res.Objective + offset
+		if v < 0 {
+			v = 0
+		}
+		return rung{v: v, basis: res.Basis}, info, nil
+	})
 }
 
-// G implements Eq. 19 by one LP solve (min z over the per-participant rows,
-// doubled).
+// G implements Eq. 19 by one LP solve per rung (min z over the
+// per-participant rows, doubled).
 func (e *Efficient) G(i int) (float64, error) {
 	v, _, err := e.GInfo(i)
 	return v, err
@@ -315,42 +394,85 @@ func (e *Efficient) GInfo(i int) (float64, SolveInfo, error) {
 	if i < 0 || i > e.nP {
 		return 0, SolveInfo{}, fmt.Errorf("mechanism: G index %d outside [0,%d]", i, e.nP)
 	}
+	if v, ok := e.Solved(false, i); ok {
+		return v, SolveInfo{}, nil
+	}
+	return e.gRungs.get(i, func(seed *lp.Basis) (rung, SolveInfo, error) {
+		p, roots, _ := e.lpBuild(i)
+		z := p.AddVar(1, 0, math.Inf(1))
+		// One row per occurring participant: z ≥ Σ_t q(t)·S(R(t),p)·φ_t.
+		for _, pv := range e.used {
+			terms := []lp.Term{{Col: z, Coef: 1}}
+			rhs := 0.0
+			for ti, r := range roots {
+				s := e.sens[ti][pv]
+				if s == 0 {
+					continue
+				}
+				coef := e.weights[ti] * s
+				if r.col >= 0 {
+					terms = append(terms, lp.Term{Col: r.col, Coef: -coef})
+				}
+				rhs += coef * r.cons
+			}
+			if len(terms) > 1 || rhs > 0 {
+				p.AddConstraint(terms, lp.GE, rhs)
+			}
+		}
+		res, info, err := solveSeeded(p, seed)
+		if err != nil {
+			return rung{}, info, err
+		}
+		if res.Status != lp.Optimal {
+			return rung{}, info, fmt.Errorf("mechanism: G_%d LP is %v", i, res.Status)
+		}
+		v := 2 * res.Objective
+		if v < 0 {
+			v = 0
+		}
+		return rung{v: v, basis: res.Basis}, info, nil
+	})
+}
+
+// solveSeeded solves p from seed and describes the solve.
+func solveSeeded(p *lp.Problem, seed *lp.Basis) (lp.Result, SolveInfo, error) {
+	res, err := p.SolveSeeded(seed)
+	return res, SolveInfo{Pivots: res.Pivots, Rows: p.NumRows(), Cols: p.NumVars(), Warm: res.Warm}, err
+}
+
+// Solved implements Lookup: it returns H_i (isH) or G_i when e holds it
+// already — solved or carried earlier, or short-circuiting without an LP
+// (empty relation, or G_0) — and false otherwise. It never solves and
+// never waits for a solve.
+func (e *Efficient) Solved(isH bool, i int) (float64, bool) {
+	if i < 0 || i > e.nP {
+		return 0, false
+	}
+	if isH {
+		if len(e.tuples) == 0 {
+			return e.constSum, true
+		}
+		return e.hRungs.value(i)
+	}
 	if len(e.tuples) == 0 || i == 0 {
-		return 0, SolveInfo{}, nil
+		return 0, true
 	}
-	p, roots, _ := e.lpBuild(i)
-	z := p.AddVar(1, 0, math.Inf(1))
-	// One row per occurring participant: z ≥ Σ_t q(t)·S(R(t),p)·φ_t.
-	for _, pv := range e.used {
-		terms := []lp.Term{{Col: z, Coef: 1}}
-		rhs := 0.0
-		for ti, r := range roots {
-			s := e.sens[ti][pv]
-			if s == 0 {
-				continue
-			}
-			coef := e.weights[ti] * s
-			if r.col >= 0 {
-				terms = append(terms, lp.Term{Col: r.col, Coef: -coef})
-			}
-			rhs += coef * r.cons
-		}
-		if len(terms) > 1 || rhs > 0 {
-			p.AddConstraint(terms, lp.GE, rhs)
-		}
-	}
-	res, info, err := e.gBases.solve(p, i)
-	if err != nil {
-		return 0, info, err
-	}
-	if res.Status != lp.Optimal {
-		return 0, info, fmt.Errorf("mechanism: G_%d LP is %v", i, res.Status)
-	}
-	v := 2 * res.Objective
-	if v < 0 {
-		v = 0
-	}
-	return v, info, nil
+	return e.gRungs.value(i)
+}
+
+// Solves reports how many H and G rungs e has solved, one LP solve each.
+// Carried and short-circuited rungs are not counted.
+func (e *Efficient) Solves() (h, g uint64) {
+	return e.hRungs.solves.Load(), e.gRungs.solves.Load()
+}
+
+// CarryValues gives e every solved rung of from — each value with its
+// basis — and returns how many it carried. The caller must have
+// proven that both encode the same computation (the same tuples over the
+// same participants), so every carried value is the one e would solve to,
+// and must call it before e is shared.
+func (e *Efficient) CarryValues(from *Efficient) int {
+	return e.hRungs.carry(&from.hRungs) + e.gRungs.carry(&from.gRungs)
 }
 
 func sortVars(vs []boolexpr.Var) {

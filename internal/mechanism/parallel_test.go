@@ -84,29 +84,31 @@ func TestLadderFanoutBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEfficientConcurrentHG hammers one shared Efficient with concurrent
-// H/G calls (run under -race) and checks every value is bit-identical to a
-// serial evaluation.
+// TestEfficientConcurrentHG hammers a shared Efficient with concurrent H/G
+// calls (run under -race) and checks every value is bit-identical to a
+// serial evaluation. Each repetition gets a fresh Efficient, so its calls
+// solve the ladder rather than read rungs an earlier repetition stored.
 func TestEfficientConcurrentHG(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	s := randomSensitive(rng, 6, 12, 3)
-	e := mustEfficient(t, s)
-	nP := e.NumParticipants()
+	serial := mustEfficient(t, s)
+	nP := serial.NumParticipants()
 
 	wantH := make([]float64, nP+1)
 	wantG := make([]float64, nP+1)
 	for i := 0; i <= nP; i++ {
 		var err error
-		if wantH[i], err = e.H(i); err != nil {
+		if wantH[i], err = serial.H(i); err != nil {
 			t.Fatal(err)
 		}
-		if wantG[i], err = e.G(i); err != nil {
+		if wantG[i], err = serial.G(i); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	p := pool.New(8)
 	for rep := 0; rep < 4; rep++ {
+		e := mustEfficient(t, s)
 		gotH := make([]float64, nP+1)
 		gotG := make([]float64, nP+1)
 		err := p.Map(context.Background(), 2*(nP+1), func(k int) error {
@@ -134,7 +136,7 @@ func TestEfficientConcurrentHG(t *testing.T) {
 }
 
 // A fanout error (e.g. cancellation) must surface from Prepare/XGiven, not
-// corrupt the memo: a later serial retry still succeeds.
+// corrupt the solved ladder: a later serial retry still succeeds.
 func TestFanoutErrorSurfacesAndRecovers(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	s := randomSensitive(rng, 6, 12, 3)

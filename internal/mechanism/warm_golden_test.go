@@ -10,7 +10,7 @@ import (
 )
 
 // TestSeededSolvesBitIdentical pins the warm-start contract where warm
-// starts live: one Efficient's basis cache, filled in several rung orders —
+// starts live: one Efficient's rung cache, filled in several rung orders —
 // ascending, descending, far end first, and from 4 goroutines at once — must
 // return every H_i and G_i bit for bit equal to the first solve of a fresh
 // Efficient at that rung, which runs cold because its cache is empty.

@@ -31,10 +31,10 @@ const (
 // ErrorProfile evaluates the Theorem 1 utility bound for a release at
 // epsilon with tail parameter tail (> 0): with probability at least
 // 1 − FailureProb, a release drawn from this plan lands within Error of
-// the true answer. Everything is read from the plan's cross-release memo —
-// the only data-dependent input is G_{|P|}, one LP solve memoized forever
-// the first time any profile or release needs it — so after that first
-// call this is allocation-free closed-form arithmetic at any ε.
+// the true answer. The only data-dependent input is G_{|P|}, one LP solve
+// the plan's Efficient keeps from the first time any profile or release
+// needs it — so after that first call this is allocation-free closed-form
+// arithmetic at any ε.
 //
 // The bound is data-dependent (G_{|P|} derives from the sensitive input)
 // and is NOT differentially private: serving layers must treat a profile
@@ -52,7 +52,7 @@ func (p *Plan) ErrorProfile(epsilon, tail float64) (mechanism.AccuracyBound, err
 		// the estimator's own concentration contract (see SampledAccuracy).
 		return p.sampledProfile(epsilon, tail), nil
 	}
-	gLast, err := p.seq.G(p.nP)
+	gLast, err := p.eff.G(p.nP)
 	if err != nil {
 		return mechanism.AccuracyBound{}, err
 	}
@@ -82,7 +82,7 @@ func (p *Plan) EpsilonFor(targetError, tail float64) (float64, mechanism.Accurac
 	if p.sampled != nil {
 		return p.sampledEpsilonFor(targetError, tail)
 	}
-	gLast, err := p.seq.G(p.nP)
+	gLast, err := p.eff.G(p.nP)
 	if err != nil {
 		return 0, mechanism.AccuracyBound{}, err
 	}
@@ -143,7 +143,7 @@ type ReleaseObservation struct {
 
 // ReleaseObserved is Release plus accuracy telemetry. The released value —
 // and the RNG stream producing it — is bit-identical to Release's: the
-// predicted bound is computed first from memoized deterministic state
+// predicted bound is computed first from solved deterministic state
 // (consuming no randomness), then the release runs unchanged, and the
 // noise magnitude is read off the draw the release was already making.
 func (p *Plan) ReleaseObserved(ctx context.Context, epsilon float64, rng *rand.Rand) (ReleaseObservation, error) {

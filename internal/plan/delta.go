@@ -25,10 +25,11 @@ import (
 //     order), so a surviving occurrence's tuple encode — annotation and
 //     φ-sensitivity map — is adopted verbatim;
 //   - LP ladder: when the delta changed nothing the workload can see, the
-//     solved H/G values carry over wholesale. Otherwise the new generation
-//     re-solves its whole ladder, warm-started only from its own solves: a
-//     predecessor's bases fit the old LP's shape, so the solver would
-//     discard them and run cold.
+//     predecessor's solved H/G rungs carry over wholesale into the new
+//     generation's Efficient (mechanism.Efficient.CarryValues). Otherwise
+//     the new generation re-solves its whole ladder, warm-started only from
+//     its own solves: a predecessor's bases fit the old LP's shape, so the
+//     solver would discard them and run cold.
 //
 // The contract is bit-identity: a plan produced by Advance releases exactly
 // what a cold CompileContext at the same generation releases. Every splice
@@ -240,19 +241,18 @@ func (p *Plan) Advance(ctx context.Context, src Source, delta Delta, workers *po
 
 	live := newLiveSet()
 	seq2.SetInterrupt(live.interrupted)
-	m2 := newMemoSeq(seq2)
 	// Solved H/G values carry over only when the generations are provably
 	// the same computation: identical match list over an identical
 	// participant universe.
 	if info.Identical && nP2 == p.nP {
-		prof.ValuesCarried = m2.inherit(p.seq)
+		prof.ValuesCarried = seq2.CarryValues(p.eff)
 	}
 	prof.TotalSeconds = time.Since(t0).Seconds()
 
 	np := &Plan{
 		kind:     p.kind,
 		nodeLike: p.spec.nodeLike(),
-		seq:      m2,
+		eff:      seq2,
 		nP:       nP2,
 		live:     live,
 		pool:     workers,
@@ -268,7 +268,6 @@ func (p *Plan) Advance(ctx context.Context, src Source, delta Delta, workers *po
 		},
 		spec: p.spec,
 		occ:  occ2,
-		eff:  seq2,
 	}
 	deltaAdvances.Add(1)
 	if info.Identical {

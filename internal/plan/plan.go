@@ -6,7 +6,7 @@
 // into the LP encoding of §5, and evaluating entries of the sequences H and
 // G (one LP solve each) — is deterministic and can take milliseconds, while
 // an actual ε-DP release on top of that state is two Laplace draws and a
-// pair of logarithmic searches over memoized sequence values. A Plan
+// pair of logarithmic searches over already solved sequence values. A Plan
 // captures everything deterministic once; Release then produces any number
 // of independent ε-DP answers, each at full price in privacy budget but
 // near-zero price in computation. Production DP-SQL engines (FLEX,
@@ -14,11 +14,11 @@
 // compile/execute split; this package is that split for the recursive
 // mechanism.
 //
-// Concurrency: a Plan is immutable after Compile except for its internal
-// sequence memo and the LP warm-start cache of the mechanism.Efficient
-// beneath it, each guarded by its own lock, so any number of goroutines may
-// call Release on one Plan simultaneously. Cache adds a bounded,
-// singleflight-coalescing plan cache for serving layers.
+// Concurrency: a Plan is immutable after Compile except for the solved
+// ladder — each H/G value beside its LP warm-start basis — that the
+// mechanism.Efficient beneath it keeps under its own lock, so any number
+// of goroutines may call Release on one Plan simultaneously. Cache adds a
+// bounded, singleflight-coalescing plan cache for serving layers.
 //
 // Parallelism: CompileContext attaches a shared compute pool
 // (internal/pool) that shards the subgraph enumeration during compilation
@@ -305,15 +305,15 @@ type Source struct {
 	Universe *boolexpr.Universe
 }
 
-// Plan is one compiled query: the sensitive K-relation derived, the LP
-// encoding built, and every sequence value computed so far memoized. It is
-// safe for concurrent Release calls and produces releases at any ε — the
-// expensive state is ε-independent, only the O(log |P|) ladder searches and
-// the noise draws are per-release.
+// Plan is one compiled query: the sensitive K-relation derived, and the LP
+// encoding built, whose mechanism.Efficient keeps every sequence value
+// solved so far. It is safe for concurrent Release calls and produces
+// releases at any ε — the expensive state is ε-independent, only the
+// O(log |P|) ladder searches and the noise draws are per-release.
 type Plan struct {
 	kind     string
 	nodeLike bool
-	seq      *memoSeq // nil for sampled plans (no LP state exists there)
+	eff      *mechanism.Efficient // the LP encoding and its solved ladder; nil for sampled plans
 	nP       int
 	live     *liveSet
 	pool     *pool.Pool     // shared compute pool for ladder waves; nil = serial
@@ -321,13 +321,11 @@ type Plan struct {
 	sampled  *sampledState  // non-nil iff this is an estimator-tier plan
 
 	// Delta-compile state (see delta.go). spec is the validated spec the
-	// plan was compiled from; occ the retained enumeration and eff the typed
-	// LP encoding, both nil for SQL and sampled plans. Retaining the match
-	// list trades memory for Advance speed — that trade is the point of the
-	// incremental compile path.
+	// plan was compiled from; occ the retained enumeration, nil for SQL and
+	// sampled plans. Retaining the match list trades memory for Advance
+	// speed — that trade is the point of the incremental compile path.
 	spec *Spec
 	occ  *subgraph.Occurrences
-	eff  *mechanism.Efficient
 }
 
 // CompileProfile records what one compile cost: the workload shape and the
@@ -357,7 +355,7 @@ func (p *Plan) Profile() CompileProfile { return p.profile }
 
 // liveSet tracks the contexts of in-flight releases on one plan. The LP
 // solver polls interrupted during long solves: a solve aborts only when
-// every release that could consume its result has gone away — a memoized
+// every release that could consume its result has gone away — a solved
 // H/G value is shared work, so one caller hanging up must not starve the
 // others, but a solve nobody is waiting for should stop burning the worker.
 type liveSet struct {
@@ -404,8 +402,9 @@ func (l *liveSet) interrupted() error {
 
 // Compile builds the plan for spec against src: derive the sensitive
 // K-relation (evaluating the SQL query or enumerating the subgraph
-// workload), flatten it into the LP-backed sequences of §5, and wrap them
-// in a shared memo. Caller-caused failures match ErrSpec. Everything runs
+// workload) and flatten it into the LP-backed sequences of §5, whose
+// mechanism.Efficient keeps every ladder rung it solves for all later
+// releases. Caller-caused failures match ErrSpec. Everything runs
 // sequentially on the calling goroutine; serving layers use CompileContext
 // to spread the work over a compute pool.
 func Compile(src Source, spec *Spec) (*Plan, error) {
@@ -467,19 +466,18 @@ func CompileContext(ctx context.Context, src Source, spec *Spec, workers *pool.P
 	csp.End()
 	live := newLiveSet()
 	// Long H/G solves poll the live-release set, so a solve whose every
-	// waiter hung up aborts instead of finishing into the memo unobserved.
+	// waiter hung up aborts instead of finishing into the ladder unobserved.
 	seq.SetInterrupt(live.interrupted)
 	return &Plan{
 		kind:     spec.Kind,
 		nodeLike: spec.nodeLike(),
-		seq:      newMemoSeq(seq),
+		eff:      seq,
 		nP:       seq.NumParticipants(),
 		live:     live,
 		pool:     workers,
 		profile:  prof,
 		spec:     spec,
 		occ:      occ,
-		eff:      seq,
 	}, nil
 }
 
@@ -510,7 +508,7 @@ func shardSpanFan(fan subgraph.Fanout, parent *trace.Span) subgraph.Fanout {
 // match ErrSpec).
 //
 // Graph kinds enumerate through the retained constructors of
-// internal/subgraph, whose match lists are byte-identical to the plain *Fan
+// internal/subgraph, whose match lists are byte-identical to the sequential
 // enumerators; the retained structure comes back as the second result so
 // the plan can Advance under dataset deltas. SQL returns a nil retention.
 func buildSensitive(src Source, spec *Spec, fan subgraph.Fanout) (*krel.Sensitive, *subgraph.Occurrences, error) {
@@ -570,15 +568,16 @@ func (p *Plan) NumParticipants() int { return p.nP }
 // Kind returns the compiled spec's kind.
 func (p *Plan) Kind() string { return p.kind }
 
-// Solves reports how many H and G entries have been computed (each one LP
-// solve) over the plan's lifetime — a direct measure of how much work the
-// memo is saving repeat releases. Sampled plans have no LP state and report
-// zero.
+// Solves reports how many H and G entries the plan has solved (each one LP
+// solve) over its lifetime; entries carried from a predecessor generation
+// are not counted. Every later ask of a solved entry is free, so this is a
+// direct measure of the work repeat releases skip. Sampled plans have no LP
+// state and report zero.
 func (p *Plan) Solves() (h, g uint64) {
-	if p.seq == nil {
+	if p.eff == nil {
 		return 0, 0
 	}
-	return p.seq.solves()
+	return p.eff.Solves()
 }
 
 // Mode returns the plan's compile tier, ModeExact or ModeSampled.
@@ -603,7 +602,7 @@ func (p *Plan) EstimateResult() (estimate.Result, bool) {
 // Release draws one ε-differentially private answer from the plan: the
 // mechanism of §4.1 with the experimental defaults of §6.1 (ε split evenly
 // between the sensitivity proxy and the final Laplace noise, β = ε/5).
-// Sequence entries already memoized — by earlier releases at any ε — are
+// Sequence entries already solved — by earlier releases at any ε — are
 // reused; a fresh ε costs at most the O(log |P|) ladder searches worth of
 // new LP solves, and typically none.
 //
@@ -611,7 +610,7 @@ func (p *Plan) EstimateResult() (estimate.Result, bool) {
 // interrupt, every few dozen simplex pivots *inside* a solve — so a
 // canceled release aborts promptly instead of finishing a doomed LP
 // ladder. A solve shared with another still-live release keeps running
-// (its result is memoized for everyone); the memo keeps whatever entries
+// (its result is kept for everyone); the ladder keeps whatever entries
 // completed, they stay valid.
 func (p *Plan) Release(ctx context.Context, epsilon float64, rng *rand.Rand) (float64, error) {
 	v, _, err := p.release(ctx, epsilon, rng, math.NaN())
@@ -639,7 +638,7 @@ func (p *Plan) release(ctx context.Context, epsilon float64, rng *rand.Rand, pre
 	if trace.FromContext(ctx) != nil {
 		cur = &spanCursor{}
 	}
-	core, err := mechanism.NewCore(ctxSeq{ctx: ctx, cur: cur, inner: p.seq}, params)
+	core, err := mechanism.NewCore(ctxSeq{ctx: ctx, cur: cur, eff: p.eff}, params)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -696,11 +695,11 @@ func (p *Plan) setFanout(ctx context.Context, core *mechanism.Core) {
 // Warm materializes the release path's sequence state for ε without
 // drawing any noise: it runs the Δ ladder search of Eq. 11 (the binary
 // search's G probes) and the X minimization of Eq. 12 at the µ-biased
-// center Δ̂ = e^µ·Δ of the noisy-Δ distribution, so those entries land in
-// the memo. Nothing is released and zero ε is spent — everything computed
+// center Δ̂ = e^µ·Δ of the noisy-Δ distribution, so those entries are
+// solved. Nothing is released and zero ε is spent — everything computed
 // is deterministic, non-private state that never leaves the plan. A
 // release at (or near) this ε afterwards typically finds every probe
-// memoized and pays only the noise draws.
+// solved and pays only the noise draws.
 func (p *Plan) Warm(ctx context.Context, epsilon float64) error {
 	if math.IsNaN(epsilon) || math.IsInf(epsilon, 0) || epsilon <= 0 {
 		return specErrorf("warm ε must be positive and finite, got %g", epsilon)
@@ -715,7 +714,7 @@ func (p *Plan) Warm(ctx context.Context, epsilon float64) error {
 	if trace.FromContext(ctx) != nil {
 		cur = &spanCursor{}
 	}
-	core, err := mechanism.NewCore(ctxSeq{ctx: ctx, cur: cur, inner: p.seq}, params)
+	core, err := mechanism.NewCore(ctxSeq{ctx: ctx, cur: cur, eff: p.eff}, params)
 	if err != nil {
 		return err
 	}
@@ -743,7 +742,7 @@ func (p *Plan) Warm(ctx context.Context, epsilon float64) error {
 
 // spanCursor publishes "the phase span LP solves should parent under right
 // now". The release goroutine stores it at each phase boundary; fanned-out
-// wave workers load it when a memo miss turns into an LP solve. An atomic
+// wave workers load it when a probe turns into an LP solve. An atomic
 // pointer, because the loaders run on pool workers while the owner is the
 // release goroutine — a data race detector-clean handoff, and a nil load
 // (no phase active, or an untraced release) simply records no span.
@@ -763,29 +762,53 @@ func (c *spanCursor) get() *trace.Span {
 	return c.p.Load()
 }
 
-// ctxSeq threads a context through the Sequences interface: each H/G access
-// first checks for cancellation, giving long LP ladders a cooperative abort
-// point without the mechanism knowing about contexts. The cursor carries
-// the release's current phase span so a memo miss can hang its lp.solve
-// span under the right phase.
+// ctxSeq threads one release's context through the Sequences interface to
+// the plan's Efficient: each H/G access first checks for cancellation,
+// giving long LP ladders a cooperative abort point without the mechanism
+// knowing about contexts, and a rung about to be solved records an
+// lp.solve span under the phase the cursor points at. Its Lookup serves the
+// rungs the Efficient already holds, but reports nothing once ctx is done,
+// so a canceled release still stops at its next probe.
 type ctxSeq struct {
-	ctx   context.Context
-	cur   *spanCursor
-	inner *memoSeq
+	ctx context.Context
+	cur *spanCursor
+	eff *mechanism.Efficient
 }
 
-func (s ctxSeq) NumParticipants() int { return s.inner.NumParticipants() }
+func (s ctxSeq) NumParticipants() int { return s.eff.NumParticipants() }
 
-func (s ctxSeq) H(i int) (float64, error) {
+func (s ctxSeq) H(i int) (float64, error) { return s.get(true, i) }
+
+func (s ctxSeq) G(i int) (float64, error) { return s.get(false, i) }
+
+func (s ctxSeq) Solved(isH bool, i int) (float64, bool) {
+	if s.ctx.Err() != nil {
+		return 0, false
+	}
+	return s.eff.Solved(isH, i)
+}
+
+func (s ctxSeq) get(isH bool, i int) (float64, error) {
 	if err := s.ctx.Err(); err != nil {
 		return 0, err
 	}
-	return s.inner.hGet(i, s.cur)
-}
-
-func (s ctxSeq) G(i int) (float64, error) {
-	if err := s.ctx.Err(); err != nil {
-		return 0, err
+	if v, ok := s.eff.Solved(isH, i); ok {
+		return v, nil
 	}
-	return s.inner.gGet(i, s.cur)
+	sp := trace.StartChild(s.cur.get(), "lp.solve")
+	seq, solve := "g", s.eff.GInfo
+	if isH {
+		seq, solve = "h", s.eff.HInfo
+	}
+	v, info, err := solve(i)
+	if sp != nil {
+		sp.Str("seq", seq).Int("i", int64(i)).
+			Int("pivots", int64(info.Pivots)).Int("rows", int64(info.Rows)).Int("cols", int64(info.Cols)).
+			Str("warm", info.Warm.String())
+		if err != nil {
+			sp.Str("error", err.Error())
+		}
+		sp.End()
+	}
+	return v, err
 }

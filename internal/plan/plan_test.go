@@ -132,7 +132,7 @@ func TestCompileWrongShape(t *testing.T) {
 // TestReleaseMemoization is the structural form of the prepared-release
 // speedup guarantee: a repeat release with the same ε and the same noise
 // stream performs zero new LP solves — every sequence entry it touches is
-// already memoized — and reproduces the identical value.
+// already solved — and reproduces the identical value.
 func TestReleaseMemoization(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -205,7 +205,7 @@ func TestReleaseCancellation(t *testing.T) {
 }
 
 // TestConcurrentReleases hammers one plan from many goroutines; run with
-// -race this checks the memo's locking discipline.
+// -race this checks the solved ladder's locking discipline.
 func TestConcurrentReleases(t *testing.T) {
 	pl, err := Compile(testGraphSource(t), &Spec{Kind: KindTriangles})
 	if err != nil {
@@ -227,7 +227,7 @@ func TestConcurrentReleases(t *testing.T) {
 
 // TestWarmMaterializesLadder checks that Warm computes sequence state (the
 // Δ ladder and central X probes) without a release, and that it reuses the
-// memo on repeat.
+// solved ladder on repeat.
 func TestWarmMaterializesLadder(t *testing.T) {
 	pl, err := Compile(testGraphSource(t), &Spec{Kind: KindTriangles})
 	if err != nil {

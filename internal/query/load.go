@@ -24,7 +24,7 @@ import (
 // public reference data.
 func LoadTable(r io.Reader, u *boolexpr.Universe) (*krel.Relation, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 4<<10), 1<<24)
 	var rel *krel.Relation
 	arity := 0
 	for line := 1; sc.Scan(); line++ {

@@ -1,7 +1,9 @@
 package query
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -54,6 +56,25 @@ func TestLoadTableErrors(t *testing.T) {
 		if _, err := LoadTable(strings.NewReader(src), u); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+}
+
+// TestLoadTableLongLines checks the scanner's buffer grows past its 4 KiB
+// start for long lines and still refuses a line over the 16 MiB cap.
+func TestLoadTableLongLines(t *testing.T) {
+	u := boolexpr.NewUniverse()
+	value := strings.Repeat("v", 100<<10)
+	src := "# " + strings.Repeat("c", 100<<10) + "\nx\n" + value + " @ pa\n"
+	rel, err := LoadTable(strings.NewReader(src), u)
+	if err != nil {
+		t.Fatalf("100 KiB lines: %v", err)
+	}
+	if rel.Size() != 1 || rel.Annotation(krel.Tuple{value}).Op() != boolexpr.OpVar {
+		t.Fatalf("100 KiB row lost: size %d", rel.Size())
+	}
+	huge := "x\n" + strings.Repeat("v", 1<<24) + "\n"
+	if _, err := LoadTable(strings.NewReader(huge), u); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line over 16 MiB: %v, want %v", err, bufio.ErrTooLong)
 	}
 }
 

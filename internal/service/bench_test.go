@@ -78,7 +78,7 @@ func BenchmarkServiceQuery(b *testing.B) {
 // BenchmarkPreparedRelease measures the plan-cache hit path with fresh ε:
 // every iteration is a new release (a new ε means the release cache cannot
 // replay it and its full ε is spent), but the expensive deterministic state
-// — parse, canonicalize, sensitive relation, LP encoding, memoized H/G
+// — parse, canonicalize, sensitive relation, LP encoding, solved H/G
 // entries — is shared through the plan compiled on the first iteration.
 // This is the acceptance benchmark: it must be ≥ 5× faster than
 // BenchmarkServiceQuery, the fresh-query path of the same workload.
@@ -86,7 +86,7 @@ func BenchmarkPreparedRelease(b *testing.B) {
 	svc := benchService(b)
 	ctx := context.Background()
 	const query = "SELECT x, y FROM visits WHERE x != 'warm'"
-	// Prepare-only priming: the plan and its sequence memo are warmed the
+	// Prepare-only priming: the plan and its solved ladder are warmed the
 	// way a /v2/prepare client would, spending zero ε, so the loop measures
 	// exactly what a prepared client pays per release.
 	if _, err := svc.Prepare(ctx, Request{Dataset: "med", Kind: KindSQL, Query: query, Epsilon: 0.5}); err != nil {
@@ -131,7 +131,7 @@ func BenchmarkAdvise(b *testing.B) {
 	ctx := context.Background()
 	const q = "SELECT x, y FROM visits WHERE x != 'warm'"
 	req := AdviseRequest{Request: Request{Dataset: "med", Kind: KindSQL, Query: q, Epsilon: 0.5}}
-	// Priming advise: compiles the plan and pays the one memoized G_{|P|}
+	// Priming advise: compiles the plan and pays the one G_{|P|}
 	// solve, and its answer supplies an achievable inverse target.
 	primed, err := svc.Advise(ctx, req)
 	if err != nil {

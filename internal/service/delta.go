@@ -86,15 +86,14 @@ func (s *Service) appendGraph(root *trace.Span, ds *Dataset, ap AppendRequest) (
 	if ds.Graph == nil {
 		return DatasetInfo{}, badRequestf("dataset %q is relational; append rows, not edges", ds.Name)
 	}
-	dg, err := graph.ReadEdgeList(strings.NewReader(ap.Edges))
+	n, added, err := graph.ReadEdges(strings.NewReader(ap.Edges))
 	if err != nil {
 		return DatasetInfo{}, badRequestf("graph append: %v", err)
 	}
-	added := dg.Edges()
-	if len(added) == 0 && dg.NumNodes() <= ds.Graph.NumNodes() {
+	if len(added) == 0 && n <= ds.Graph.NumNodes() {
 		return DatasetInfo{}, badRequestf("append carries no new edges or nodes")
 	}
-	// ReadEdgeList already dropped repeats within the delta, so checking
+	// ReadEdges already dropped repeats within the delta, so checking
 	// against the current snapshot alone makes every added edge new.
 	dup := 0
 	for _, e := range added {
@@ -105,7 +104,7 @@ func (s *Service) appendGraph(root *trace.Span, ds *Dataset, ap AppendRequest) (
 	if dup > 0 {
 		return DatasetInfo{}, badRequestf("append repeats %d edge(s) already present", dup)
 	}
-	g2 := ds.Graph.Extend(dg.NumNodes(), added)
+	g2 := ds.Graph.Extend(n, added)
 	root.Int("edges", int64(len(added)))
 
 	var d2 *Dataset
@@ -296,12 +295,12 @@ func (s *Service) replayDeltas(df *store.DatasetFile) []error {
 			warns = append(warns, fmt.Errorf("service: dataset %q: delta v%d undecodable, later deltas skipped: %w", df.Name, del.Version, err))
 			break
 		}
-		dg, err := graph.ReadEdgeList(strings.NewReader(ap.Edges))
+		n, added, err := graph.ReadEdges(strings.NewReader(ap.Edges))
 		if err != nil {
 			warns = append(warns, fmt.Errorf("service: dataset %q: delta v%d unreadable, later deltas skipped: %w", df.Name, del.Version, err))
 			break
 		}
-		s.reg.PutGraphVersion(df.Name, cur.Graph.Extend(dg.NumNodes(), dg.Edges()), del.Version)
+		s.reg.PutGraphVersion(df.Name, cur.Graph.Extend(n, added), del.Version)
 	}
 	return warns
 }

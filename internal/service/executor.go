@@ -270,7 +270,7 @@ func (e *Executor) PlanFor(ctx context.Context, ds *Dataset, req *Request) (*pla
 // Prepare warms the plan cache for a normalized request without drawing a
 // release or touching the budget: the full deterministic pipeline runs (or
 // is found already materialized) and the plan's Δ ladder and central X
-// search are evaluated into the memo for the request's ε (the server
+// search are solved for the request's ε (the server
 // default when the request omits it), so the next Query at that ε
 // typically pays only the noise draws. Returns the warmed plan (nil when
 // none materialized) and whether it was already cached.

@@ -49,7 +49,7 @@ type Config struct {
 	CacheEntries int
 	// PlanEntries bounds the compiled-plan cache; the oldest plans are
 	// evicted beyond it (a repeat then recompiles). Plans hold LP state and
-	// memoized sequence values, so the bound is deliberately tighter than
+	// solved sequence values, so the bound is deliberately tighter than
 	// the release cache's. Default 512.
 	PlanEntries int
 	// MaxUploadBytes caps a PUT /v1/datasets/{name} body; a larger upload

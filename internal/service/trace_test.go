@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"recmech/internal/graph"
+	"recmech/internal/lp"
 	"recmech/internal/noise"
 	"recmech/internal/trace"
 )
@@ -301,6 +302,94 @@ func TestWarmSampling(t *testing.T) {
 	}
 	if got := len(svc.Traces()); got != 3 {
 		t.Fatalf("with TraceSampleEvery=1 all 3 queries should trace, got %d", got)
+	}
+}
+
+// TestLPSolveSpansOnePerSolvedRung pins the lp.solve spans under forced
+// tracing: a traced release records one span for each ladder rung it
+// solves, and none for a rung the plan already holds. A fresh query also
+// solves one rung outside the release phases — G_{|P|}, for the accuracy
+// prediction made before the release span opens — and that solve records
+// no span.
+func TestLPSolveSpansOnePerSolvedRung(t *testing.T) {
+	svc := traceTestService(t, Config{DatasetBudget: 10, Seed: 1, TraceSampleEvery: 1})
+	ctx := context.Background()
+	// query runs one request and returns its lp.solve spans per rung, the
+	// LP solves it ran, and whether it replayed a recorded release.
+	query := func(eps float64) (map[string]int, int, bool) {
+		t.Helper()
+		old := map[string]bool{}
+		for _, s := range svc.Traces() {
+			old[s.ID] = true
+		}
+		before := lp.ReadCounters().Solves
+		resp, err := svc.Query(ctx, Request{Dataset: "g", Kind: KindKStars, K: 2, Epsilon: eps})
+		if err != nil {
+			t.Fatalf("ε=%g: %v", eps, err)
+		}
+		solves := int(lp.ReadCounters().Solves - before)
+		spans := map[string]int{}
+		for _, s := range svc.Traces() {
+			if old[s.ID] {
+				continue
+			}
+			td, err := svc.Trace(s.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lpSolveSpans(td.Root, spans)
+		}
+		return spans, solves, resp.Cached
+	}
+	total := func(spans map[string]int) int {
+		n := 0
+		for _, c := range spans {
+			n += c
+		}
+		return n
+	}
+
+	fresh, solves, _ := query(0.4)
+	for rung, n := range fresh {
+		if n != 1 {
+			t.Errorf("fresh query: rung %s has %d lp.solve spans, want 1", rung, n)
+		}
+	}
+	if len(fresh) == 0 || total(fresh) != solves-1 {
+		t.Fatalf("fresh query: %d lp.solve spans for %d LP solves, want one per solve but G_{|P|}'s", total(fresh), solves)
+	}
+
+	spans, solves, cached := query(0.4)
+	if !cached || solves != 0 || len(spans) != 0 {
+		t.Fatalf("repeat at the same ε: cached=%v, %d LP solves, spans %v; want a replay with none", cached, solves, spans)
+	}
+
+	// A nudged ε misses the release cache but reuses the plan: only rungs
+	// the fresh query left unsolved may be solved, each with one span.
+	spans, solves, cached = query(0.4 + 1e-9)
+	if cached {
+		t.Fatal("nudged ε replayed a recorded release")
+	}
+	for rung, n := range spans {
+		if n != 1 || fresh[rung] > 0 {
+			t.Errorf("nudged ε: rung %s has %d lp.solve spans (%d in the fresh query), want 1 and 0", rung, n, fresh[rung])
+		}
+	}
+	if total(spans) != solves {
+		t.Fatalf("nudged ε: %d lp.solve spans for %d LP solves", total(spans), solves)
+	}
+}
+
+// lpSolveSpans counts the lp.solve spans of a span tree by rung.
+func lpSolveSpans(n *trace.SpanNode, into map[string]int) {
+	if n == nil {
+		return
+	}
+	if n.Name == "lp.solve" {
+		into[fmt.Sprintf("%v_%v", n.Attrs["seq"], n.Attrs["i"])]++
+	}
+	for _, c := range n.Children {
+		lpSolveSpans(c, into)
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 // against one graph generation, so an appended edge delta can re-enumerate
 // only the dirty units of the dirty shards and splice every clean unit's
 // retained output back in — byte-identical to a fresh enumeration of the new
-// generation, because every *Fan enumerator's output is the concatenation of
-// its per-unit outputs in unit order (pattern search additionally re-runs its
-// global first-discovery-wins dedup over the spliced per-root lists).
+// generation, because every enumerator's output is the concatenation of its
+// per-unit outputs in unit order (pattern search additionally re-runs its
+// global first-discovery-wins dedup over the spliced per-root lists). The
+// retained constructors are also the package's one sharded engine: a fresh
+// compile builds its match list through them.
 
 // occKind enumerates the workloads whose enumeration can be retained across
 // dataset generations.
@@ -29,7 +31,7 @@ const (
 
 // Occurrences is one generation's retained enumeration: the final match list
 // plus the per-unit structure needed to advance it under an edge delta. A
-// unit is one index of the corresponding *Fan enumerator's outer loop — a
+// unit is one index of the corresponding enumerator's outer loop — a
 // smallest vertex for triangles, a center for k-stars, a sorted-edge-list
 // index for k-triangles, a root for pattern search. Values are immutable
 // once built; Advance returns a new Occurrences and never mutates the old.
@@ -70,13 +72,14 @@ type AdvanceInfo struct {
 	Identical bool
 }
 
-// TrianglesRetained enumerates triangles like TrianglesFan while retaining
-// the per-unit structure needed to Advance under edge appends.
+// TrianglesRetained enumerates triangles like Triangles, sharded under fan,
+// while retaining the per-unit structure needed to Advance under edge
+// appends. A non-nil error is the fanout's own (cancellation).
 func TrianglesRetained(g *graph.Graph, fan Fanout) (*Occurrences, error) {
 	return retain(&Occurrences{kind: occTriangles, n: g.NumNodes()}, g, fan)
 }
 
-// KStarsRetained is the retained KStarsFan.
+// KStarsRetained is the retained, sharded KStars.
 func KStarsRetained(g *graph.Graph, k int, fan Fanout) (*Occurrences, error) {
 	if k < 1 {
 		panic("subgraph: k-star needs k ≥ 1")
@@ -84,7 +87,7 @@ func KStarsRetained(g *graph.Graph, k int, fan Fanout) (*Occurrences, error) {
 	return retain(&Occurrences{kind: occKStars, k: k, n: g.NumNodes()}, g, fan)
 }
 
-// KTrianglesRetained is the retained KTrianglesFan.
+// KTrianglesRetained is the retained, sharded KTriangles.
 func KTrianglesRetained(g *graph.Graph, k int, fan Fanout) (*Occurrences, error) {
 	if k < 1 {
 		panic("subgraph: k-triangle needs k ≥ 1")
@@ -93,16 +96,16 @@ func KTrianglesRetained(g *graph.Graph, k int, fan Fanout) (*Occurrences, error)
 	return retain(o, g, fan)
 }
 
-// PatternRetained is the retained FindMatchesFan. Retention runs the search
-// once per root (instead of once per shard) so the per-root raw lists can be
-// spliced individually when a delta dirties a subset of roots; the global
-// dedup then reproduces the sequential first-discovery-wins order exactly.
+// PatternRetained is the retained, sharded FindMatches(g, p, 0). Retention
+// runs the search once per root so the per-root raw lists can be spliced
+// individually when a delta dirties a subset of roots; the global dedup then
+// reproduces the sequential first-discovery-wins order exactly.
 func PatternRetained(g *graph.Graph, p Pattern, fan Fanout) (*Occurrences, error) {
 	return retain(&Occurrences{kind: occPattern, pat: p, n: g.NumNodes()}, g, fan)
 }
 
 // Matches returns the final match list — byte-identical to the corresponding
-// *Fan enumerator's output (nil for empty, same element order).
+// sequential enumerator's output (nil for empty, same element order).
 func (o *Occurrences) Matches() []Match { return o.matches }
 
 // NumUnits returns the size of the retained unit domain.
@@ -156,9 +159,10 @@ func retain(o *Occurrences, g *graph.Graph, fan Fanout) (*Occurrences, error) {
 	return o, nil
 }
 
-// eachUnitSharded runs f(u) over the unit domain, batched into the same
-// fixed range shards as shardMerge (concurrently under fan, inline when fan
-// is nil). dirty, when non-nil, restricts the visit to the marked units —
+// eachUnitSharded runs f(u) over the unit domain, batched into enumShards
+// fixed range shards (concurrently under fan, inline when fan is nil). A
+// non-nil error is the fanout's own (cancellation); the partial work is
+// discarded. dirty, when non-nil, restricts the visit to the marked units —
 // shards containing none are skipped entirely, so a delta recompute touches
 // only the dirty shards. f must be safe to call concurrently for distinct u.
 func eachUnitSharded(fan Fanout, units int, dirty []bool, f func(u int)) error {
@@ -196,7 +200,7 @@ func eachUnitSharded(fan Fanout, units int, dirty []bool, f func(u int)) error {
 }
 
 // assemble folds per-unit outputs into the retained structure, preserving
-// the empty-is-nil convention of the *Fan enumerators.
+// the empty-is-nil convention of the sequential enumerators.
 func (o *Occurrences) assemble(per []unitOut) {
 	units := len(per)
 	o.off = make([]int, units+1)

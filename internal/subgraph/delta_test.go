@@ -50,24 +50,18 @@ func (c deltaCase) retained(t *testing.T, g *graph.Graph, fan Fanout) *Occurrenc
 	return o
 }
 
-func (c deltaCase) fresh(t *testing.T, g *graph.Graph, fan Fanout) []Match {
-	t.Helper()
-	var m []Match
-	var err error
+// fresh runs the case's sequential enumerator.
+func (c deltaCase) fresh(g *graph.Graph) []Match {
 	switch c.kind {
 	case occTriangles:
-		m, err = TrianglesFan(g, fan)
+		return Triangles(g)
 	case occKStars:
-		m, err = KStarsFan(g, c.k, fan)
+		return KStars(g, c.k)
 	case occKTriangles:
-		m, err = KTrianglesFan(g, c.k, fan)
+		return KTriangles(g, c.k)
 	default:
-		m, err = FindMatchesFan(g, c.pat, fan)
+		return FindMatches(g, c.pat, 0)
 	}
-	if err != nil {
-		t.Fatalf("%s: fresh enumeration: %v", c.name, err)
-	}
-	return m
 }
 
 func randomGraph(rng *rand.Rand, n int, p float64) *graph.Graph {
@@ -91,8 +85,9 @@ func grow(g *graph.Graph, extra int) *graph.Graph {
 	return h
 }
 
-// TestRetainedMatchesFreshEnumeration pins the base contract: a retained
-// enumeration's final match list is byte-identical to the Fan enumerator's.
+// TestRetainedMatchesFreshEnumeration pins the base contract: a sharded
+// retained enumeration's final match list is byte-identical to the
+// sequential enumerator's.
 func TestRetainedMatchesFreshEnumeration(t *testing.T) {
 	p := pool.New(3)
 	fan := Fanout(p.Fanout(context.Background()))
@@ -101,7 +96,7 @@ func TestRetainedMatchesFreshEnumeration(t *testing.T) {
 			rng := rand.New(rand.NewSource(100 + seed))
 			g := randomGraph(rng, 5+rng.Intn(28), 0.12)
 			o := c.retained(t, g, fan)
-			want := c.fresh(t, g, nil)
+			want := c.fresh(g)
 			if !reflect.DeepEqual(o.Matches(), want) {
 				t.Fatalf("%s seed %d: retained matches diverge from fresh enumeration", c.name, seed)
 			}
@@ -152,7 +147,7 @@ func TestAdvancePropertyRandomAppends(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d step %d: Advance: %v", seed, step, err)
 					}
-					want := c.fresh(t, g2, nil)
+					want := c.fresh(g2)
 					if !reflect.DeepEqual(o2.Matches(), want) {
 						t.Fatalf("seed %d step %d: incremental matches diverge from full re-enumeration (%d vs %d matches)",
 							seed, step, len(o2.Matches()), len(want))

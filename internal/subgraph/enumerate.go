@@ -4,12 +4,15 @@
 // conjunction of its node variables (node differential privacy) or its edge
 // variables (edge differential privacy).
 //
-// Every enumerator has a *Fan variant that shards the work by vertex (or
-// edge) range and merges the shards in range order, so the match list — and
-// therefore the K-relation, its LP encoding, and every byte the mechanism
-// derives from it — is identical to the sequential enumeration no matter
-// how the shards were scheduled. The Fanout is typically a compute pool's
-// adapter (see internal/pool); nil means enumerate sequentially.
+// The enumerators (Triangles, KStars, KTriangles, FindMatches) run
+// sequentially. The retained constructors (TrianglesRetained and its
+// siblings in delta.go) are the one sharded engine: they cut the work into
+// fixed vertex (or edge) range shards and concatenate the outputs in range
+// order, so the match list — and therefore the K-relation, its LP encoding,
+// and every byte the mechanism derives from it — is identical to the
+// sequential enumeration no matter how the shards were scheduled. The
+// Fanout is typically a compute pool's adapter (see internal/pool); nil
+// means enumerate sequentially.
 package subgraph
 
 import (
@@ -40,53 +43,9 @@ type Match struct {
 // range order, so the value affects scheduling granularity only.
 const enumShards = 16
 
-// shardMerge cuts 0..n-1 into contiguous ranges, runs enumerate on each
-// (concurrently under fan), and concatenates the per-range outputs in range
-// order — byte-identical to enumerate(0, n), since every enumerator below
-// visits its outer loop in ascending order and touches nothing outside its
-// range. Enumeration itself cannot fail; a non-nil error is the fanout's
-// own (cancellation), and the partial work is discarded.
-func shardMerge(fan Fanout, n int, enumerate func(lo, hi int) []Match) ([]Match, error) {
-	if fan == nil || n < 2 {
-		return enumerate(0, n), nil
-	}
-	shards := enumShards
-	if shards > n {
-		shards = n
-	}
-	parts := make([][]Match, shards)
-	err := fan(shards, func(s int) error {
-		parts[s] = enumerate(s*n/shards, (s+1)*n/shards)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for s := range parts {
-		total += len(parts[s])
-	}
-	if total == 0 {
-		return nil, nil // match the sequential enumerators' nil-for-empty
-	}
-	out := make([]Match, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
-}
-
 // Triangles enumerates all triangles {u < v < w}.
 func Triangles(g *graph.Graph) []Match {
-	out, _ := TrianglesFan(g, nil)
-	return out
-}
-
-// TrianglesFan enumerates triangles sharded by the smallest-vertex range.
-func TrianglesFan(g *graph.Graph, fan Fanout) ([]Match, error) {
-	return shardMerge(fan, g.NumNodes(), func(lo, hi int) []Match {
-		return trianglesRange(g, lo, hi)
-	})
+	return trianglesRange(g, 0, g.NumNodes())
 }
 
 // trianglesRange enumerates the triangles whose smallest node lies in
@@ -142,18 +101,10 @@ func countTrianglesRange(g *graph.Graph, lo, hi int) int {
 // KStars enumerates all k-stars: a center node c and a set of k distinct
 // leaves adjacent to c. The count equals Σ_v C(deg(v), k).
 func KStars(g *graph.Graph, k int) []Match {
-	out, _ := KStarsFan(g, k, nil)
-	return out
-}
-
-// KStarsFan enumerates k-stars sharded by center range.
-func KStarsFan(g *graph.Graph, k int, fan Fanout) ([]Match, error) {
 	if k < 1 {
 		panic("subgraph: k-star needs k ≥ 1")
 	}
-	return shardMerge(fan, g.NumNodes(), func(lo, hi int) []Match {
-		return kStarsRange(g, k, lo, hi)
-	})
+	return kStarsRange(g, k, 0, g.NumNodes())
 }
 
 func kStarsRange(g *graph.Graph, k, lo, hi int) []Match {
@@ -217,20 +168,10 @@ func CountKStars(g *graph.Graph, k int) float64 {
 // distinct common neighbors of u and v (each common neighbor forms a triangle
 // over the shared edge). The count equals Σ_{(u,v)∈E} C(a_uv, k).
 func KTriangles(g *graph.Graph, k int) []Match {
-	out, _ := KTrianglesFan(g, k, nil)
-	return out
-}
-
-// KTrianglesFan enumerates k-triangles sharded by ranges of the sorted edge
-// list.
-func KTrianglesFan(g *graph.Graph, k int, fan Fanout) ([]Match, error) {
 	if k < 1 {
 		panic("subgraph: k-triangle needs k ≥ 1")
 	}
-	edges := g.Edges()
-	return shardMerge(fan, len(edges), func(lo, hi int) []Match {
-		return kTrianglesRange(g, k, edges[lo:hi])
-	})
+	return kTrianglesRange(g, k, g.Edges())
 }
 
 func kTrianglesRange(g *graph.Graph, k int, edges []graph.Edge) []Match {

@@ -11,37 +11,49 @@ import (
 	"recmech/internal/pool"
 )
 
-// fannedEnumerators runs every *Fan enumerator against one graph, used by
-// the golden tests below to compare fanned output to sequential output.
-func fannedEnumerators(g *graph.Graph, fan Fanout) (map[string][]Match, error) {
+var (
+	path3  = NewPattern(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
+	square = NewPattern(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 0, V: 3}})
+)
+
+// sequentialEnumerations runs the sequential enumerators against one graph.
+func sequentialEnumerations(g *graph.Graph) map[string][]Match {
+	return map[string][]Match{
+		"triangles":   Triangles(g),
+		"kstars2":     KStars(g, 2),
+		"kstars3":     KStars(g, 3),
+		"ktriangles2": KTriangles(g, 2),
+		"path3":       FindMatches(g, path3, 0),
+		"square":      FindMatches(g, square, 0),
+	}
+}
+
+// retainedEnumerations runs the retained constructor behind each entry of
+// sequentialEnumerations, sharded under fan.
+func retainedEnumerations(g *graph.Graph, fan Fanout) (map[string][]Match, error) {
 	out := map[string][]Match{}
-	var err error
-	if out["triangles"], err = TrianglesFan(g, fan); err != nil {
-		return nil, err
-	}
-	if out["kstars2"], err = KStarsFan(g, 2, fan); err != nil {
-		return nil, err
-	}
-	if out["kstars3"], err = KStarsFan(g, 3, fan); err != nil {
-		return nil, err
-	}
-	if out["ktriangles2"], err = KTrianglesFan(g, 2, fan); err != nil {
-		return nil, err
-	}
-	if out["path3"], err = FindMatchesFan(g, NewPattern(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}), fan); err != nil {
-		return nil, err
-	}
-	if out["square"], err = FindMatchesFan(g, NewPattern(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 0, V: 3}}), fan); err != nil {
-		return nil, err
+	for name, build := range map[string]func() (*Occurrences, error){
+		"triangles":   func() (*Occurrences, error) { return TrianglesRetained(g, fan) },
+		"kstars2":     func() (*Occurrences, error) { return KStarsRetained(g, 2, fan) },
+		"kstars3":     func() (*Occurrences, error) { return KStarsRetained(g, 3, fan) },
+		"ktriangles2": func() (*Occurrences, error) { return KTrianglesRetained(g, 2, fan) },
+		"path3":       func() (*Occurrences, error) { return PatternRetained(g, path3, fan) },
+		"square":      func() (*Occurrences, error) { return PatternRetained(g, square, fan) },
+	} {
+		o, err := build()
+		if err != nil {
+			return nil, err
+		}
+		out[name] = o.Matches()
 	}
 	return out, nil
 }
 
 // TestShardedEnumerationByteIdentical pins the parallel compile engine's
-// foundation: sharded enumeration through a real pool yields exactly the
-// sequential match list — same matches, same order — for every enumerator,
-// across graph shapes (including empty and tiny graphs where sharding
-// degenerates).
+// foundation: the retained constructors, inline or sharded through a real
+// pool, yield exactly the sequential match list — same matches, same order —
+// for every enumerator, across graph shapes (including empty and tiny
+// graphs where sharding degenerates).
 func TestShardedEnumerationByteIdentical(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.New(0),
@@ -54,12 +66,13 @@ func TestShardedEnumerationByteIdentical(t *testing.T) {
 	p := pool.New(4)
 	fan := Fanout(p.Fanout(context.Background()))
 	for gi, g := range graphs {
-		want, err := fannedEnumerators(g, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rep := 0; rep < 3; rep++ { // repeat: scheduling must never matter
-			got, err := fannedEnumerators(g, fan)
+		want := sequentialEnumerations(g)
+		for rep := 0; rep < 4; rep++ { // repeat: scheduling must never matter
+			f := fan
+			if rep == 0 {
+				f = nil
+			}
+			got, err := retainedEnumerations(g, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,35 +86,36 @@ func TestShardedEnumerationByteIdentical(t *testing.T) {
 	}
 }
 
-// A canceled fanout must abort enumeration with the cancellation error, not
-// return a partial match list.
+// A canceled fanout must abort a sharded enumeration with the cancellation
+// error, not return a partial match list.
 func TestFanCancellationAborts(t *testing.T) {
 	g := graph.RandomAverageDegree(noise.NewRand(4), 30, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	fan := Fanout(pool.New(2).Fanout(ctx))
-	if _, err := TrianglesFan(g, fan); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TrianglesFan error = %v, want context.Canceled", err)
+	if _, err := TrianglesRetained(g, fan); !errors.Is(err, context.Canceled) {
+		t.Fatalf("TrianglesRetained error = %v, want context.Canceled", err)
 	}
-	if _, err := FindMatchesFan(g, TrianglePattern(), fan); !errors.Is(err, context.Canceled) {
-		t.Fatalf("FindMatchesFan error = %v, want context.Canceled", err)
+	if _, err := PatternRetained(g, TrianglePattern(), fan); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PatternRetained error = %v, want context.Canceled", err)
 	}
 }
 
-// The relation builders must agree between sequential enumeration and the
-// Fan variants fed through BuildRelation — tuple order and annotations
-// included — since the K-relation is what the LP encoding hashes out of.
+// The relation builders must agree between sequential enumeration and
+// sharded retained enumeration fed through BuildRelation — tuple order and
+// annotations included — since the K-relation is what the LP encoding
+// hashes out of.
 func TestRelationFromFannedMatchesIdentical(t *testing.T) {
 	g := graph.RandomAverageDegree(noise.NewRand(5), 30, 5)
 	p := pool.New(3)
 	fan := Fanout(p.Fanout(context.Background()))
 	for _, privacy := range []Privacy{NodePrivacy, EdgePrivacy} {
 		seq := TriangleRelation(g, privacy)
-		matches, err := TrianglesFan(g, fan)
+		o, err := TrianglesRetained(g, fan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par := BuildRelation(g, matches, privacy, nil)
+		par := BuildRelation(g, o.Matches(), privacy, nil)
 		if seq.NumParticipants() != par.NumParticipants() {
 			t.Fatalf("%v: |P| %d vs %d", privacy, seq.NumParticipants(), par.NumParticipants())
 		}

@@ -208,56 +208,6 @@ func FindMatches(g *graph.Graph, p Pattern, maxMatches int) []Match {
 	return out
 }
 
-// FindMatchesFan enumerates all occurrences of p in g, sharding the search
-// by the root candidate range and merging shards in range order with
-// cross-shard deduplication. The same occurrence discovered from roots in
-// two shards keeps its first (lowest-root-range) discovery, which is
-// exactly the occurrence the sequential search keeps — the merged list is
-// byte-identical to FindMatches(g, p, 0). A non-nil error is the fanout's
-// own (cancellation).
-func FindMatchesFan(g *graph.Graph, p Pattern, fan Fanout) ([]Match, error) {
-	n := g.NumNodes()
-	if fan == nil || n < 2 {
-		return FindMatches(g, p, 0), nil
-	}
-	mt := newMatcher(g, p)
-	// Shard boundaries and merge conventions mirror shardMerge in
-	// enumerate.go (which cannot be reused directly: pattern shards carry
-	// dedup keys next to their matches) — keep the two in lockstep.
-	shards := enumShards
-	if shards > n {
-		shards = n
-	}
-	parts := make([][]Match, shards)
-	keys := make([][]string, shards)
-	err := fan(shards, func(s int) error {
-		parts[s], keys[s] = mt.run(s*n/shards, (s+1)*n/shards, 0)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for s := range parts {
-		total += len(parts[s])
-	}
-	if total == 0 {
-		return nil, nil // match FindMatches' nil-for-empty
-	}
-	out := make([]Match, 0, total)
-	seen := make(map[string]struct{}, total)
-	for s := range parts {
-		for i, m := range parts[s] {
-			if _, dup := seen[keys[s][i]]; dup {
-				continue
-			}
-			seen[keys[s][i]] = struct{}{}
-			out = append(out, m)
-		}
-	}
-	return out, nil
-}
-
 // CountMatches returns the number of distinct occurrences.
 func CountMatches(g *graph.Graph, p Pattern) int {
 	return len(FindMatches(g, p, 0))
