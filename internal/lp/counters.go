@@ -26,12 +26,12 @@ var (
 // WarmApplied/WarmAttempts is the warm-start hit rate, the first thing to
 // look at when fresh-compile latency regresses.
 type Counters struct {
-	Solves        uint64
-	Pivots        uint64
-	Interrupts    uint64
-	WarmAttempts  uint64
-	WarmApplied   uint64
-	WarmDiscarded uint64
+	Solves        uint64 `json:"solves"`
+	Pivots        uint64 `json:"pivots"`
+	Interrupts    uint64 `json:"interrupts"`
+	WarmAttempts  uint64 `json:"warmAttempts"`
+	WarmApplied   uint64 `json:"warmApplied"`
+	WarmDiscarded uint64 `json:"warmDiscarded"`
 }
 
 // ReadCounters snapshots the process-wide solver counters. All values are

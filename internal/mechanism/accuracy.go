@@ -79,9 +79,9 @@ func SampledAccuracy(epsilon, sensCap, c, samplerErr, samplerFail float64) Accur
 	}
 }
 
-// Accuracy computes the Theorem 1 bound for a prepared Core, reading
-// G_{|P|} from its sequences. The bounding factor g must match the
-// Sequences implementation (2 for Efficient, 1 for General).
+// Accuracy computes the Theorem 1 bound for the Core's parameters, reading
+// G_{|P|} from its sequences; it needs no Prepare. The bounding factor g
+// must match the Sequences implementation (2 for Efficient, 1 for General).
 func (c *Core) Accuracy(g int, tail float64) (AccuracyBound, error) {
 	gLast, err := c.evalSeq(false, c.seq.NumParticipants())
 	if err != nil {

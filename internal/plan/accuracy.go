@@ -143,28 +143,9 @@ type ReleaseObservation struct {
 
 // ReleaseObserved is Release plus accuracy telemetry. The released value —
 // and the RNG stream producing it — is bit-identical to Release's: the
-// predicted bound is computed first from solved deterministic state
-// (consuming no randomness), then the release runs unchanged, and the
-// noise magnitude is read off the draw the release was already making.
+// predicted bound is computed first from deterministic state (consuming no
+// randomness), then the release runs unchanged, and the noise magnitude is
+// read off the draw the release was already making.
 func (p *Plan) ReleaseObserved(ctx context.Context, epsilon float64, rng *rand.Rand) (ReleaseObservation, error) {
-	// Register with the live set for the profile too: the very first
-	// profile on a plan pays the one G_{|P|} LP solve, and a caller hanging
-	// up should interrupt that solve exactly as it would a ladder solve.
-	id := p.live.add(ctx)
-	predicted, perr := p.ErrorProfile(epsilon, DefaultTail)
-	p.live.remove(id)
-	attr := math.NaN()
-	if perr == nil {
-		attr = predicted.Error
-	}
-	v, lap, err := p.release(ctx, epsilon, rng, attr)
-	if err != nil {
-		return ReleaseObservation{}, err
-	}
-	return ReleaseObservation{
-		Value:          v,
-		NoiseMagnitude: math.Abs(lap),
-		Predicted:      predicted,
-		PredictedOK:    perr == nil,
-	}, nil
+	return p.release(ctx, epsilon, rng, true)
 }

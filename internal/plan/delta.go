@@ -85,14 +85,14 @@ var (
 
 // DeltaCounters is a snapshot of the process-wide delta-compile counters.
 type DeltaCounters struct {
-	Advances      uint64 // Advance calls that derived the plan incrementally
-	Fallbacks     uint64 // Advance calls that recompiled from scratch
-	Identical     uint64 // advances whose delta changed nothing the workload sees
-	TuplesReused  uint64
-	TuplesEncoded uint64
-	ValuesCarried uint64
-	UnitsTotal    uint64
-	UnitsDirty    uint64
+	Advances      uint64 `json:"advances"`  // Advance calls that derived the plan incrementally
+	Fallbacks     uint64 `json:"fallbacks"` // Advance calls that recompiled from scratch
+	Identical     uint64 `json:"identical"` // advances whose delta changed nothing the workload sees
+	TuplesReused  uint64 `json:"tuplesReused"`
+	TuplesEncoded uint64 `json:"tuplesEncoded"`
+	ValuesCarried uint64 `json:"valuesCarried"`
+	UnitsTotal    uint64 `json:"unitsTotal"`
+	UnitsDirty    uint64 `json:"unitsDirty"`
 }
 
 // ReadDeltaCounters snapshots the process-wide delta-compile counters.

@@ -613,83 +613,141 @@ func (p *Plan) EstimateResult() (estimate.Result, bool) {
 // (its result is kept for everyone); the ladder keeps whatever entries
 // completed, they stay valid.
 func (p *Plan) Release(ctx context.Context, epsilon float64, rng *rand.Rand) (float64, error) {
-	v, _, err := p.release(ctx, epsilon, rng, math.NaN())
-	return v, err
+	obs, err := p.release(ctx, epsilon, rng, false)
+	return obs.Value, err
 }
 
-// release is the shared body of Release and ReleaseObserved. predicted,
-// when not NaN, is the Theorem 1 error bound computed for this ε — recorded
-// as a span attribute so traces and the slow-query log carry the expected
-// error beside the phases that produced the answer. The second return is
-// the final Laplace draw actually added (the realized noise), which the
-// serving layer's accuracy histograms compare against the prediction.
-func (p *Plan) release(ctx context.Context, epsilon float64, rng *rand.Rand, predicted float64) (float64, float64, error) {
+// walk is the setup every pass over a plan's ladder shares — a release or
+// a Warm: the validated parameters, a Core reading the plan's Efficient
+// through this pass's ctxSeq (with a span cursor when the pass is traced),
+// the plan's compute pool as the Core's fanout, and the live-set entry
+// that lets the pass's solves run while ctx is live. Sampled plans have no
+// ladder: their walk carries the parameters only, and core is nil.
+type walk struct {
+	params mechanism.Params
+	core   *mechanism.Core
+	cur    *spanCursor
+	live   *liveSet
+	id     uint64 // live-set entry, removed by end
+}
+
+// startWalk validates ε and sets up one pass over the ladder. The caller
+// must call end once the pass is over.
+func (p *Plan) startWalk(ctx context.Context, epsilon float64) (walk, error) {
 	if math.IsNaN(epsilon) || math.IsInf(epsilon, 0) || epsilon <= 0 {
-		return 0, 0, specErrorf("release ε must be positive and finite, got %g", epsilon)
+		return walk{}, specErrorf("ε must be positive and finite, got %g", epsilon)
 	}
+	w := walk{params: mechanism.DefaultParams(epsilon, p.nodeLike)}
 	if p.sampled != nil {
-		return p.releaseSampled(ctx, epsilon, rng, predicted)
+		return w, nil
 	}
-	params := mechanism.DefaultParams(epsilon, p.nodeLike)
-	// Allocate the cursor only when this release is traced: on the untraced
-	// hot path a nil cursor (set/get are nil-safe) keeps the release
-	// allocation-free here.
-	var cur *spanCursor
+	// Allocate the cursor only when this pass is traced: on the untraced
+	// hot path a nil cursor (set/get are nil-safe) keeps it allocation-free.
 	if trace.FromContext(ctx) != nil {
-		cur = &spanCursor{}
+		w.cur = &spanCursor{}
 	}
-	core, err := mechanism.NewCore(ctxSeq{ctx: ctx, cur: cur, eff: p.eff}, params)
+	core, err := mechanism.NewCore(ctxSeq{ctx: ctx, cur: w.cur, eff: p.eff}, w.params)
 	if err != nil {
-		return 0, 0, err
+		return walk{}, err
 	}
-	p.setFanout(ctx, core)
-	id := p.live.add(ctx)
-	defer p.live.remove(id)
-	// The three steps below are exactly mechanism.Core.Release — Δ̂ draw, X
-	// minimization, final Laplace, in that order, consuming the same two
-	// rng draws — driven here so each phase gets its own span and the
-	// cursor attributes every LP solve to the phase that demanded it.
-	// Spans only observe; the determinism tests pin the released values
-	// against Core.Release, so this duplication cannot drift silently.
-	rel := trace.Child(ctx, "release")
-	if !math.IsNaN(predicted) {
-		rel.Float("predictedError", predicted)
-	}
-	ph := trace.StartChild(rel, "delta.search")
-	cur.set(ph)
-	deltaHat, err := core.NoisyDelta(rng)
-	cur.set(nil)
-	ph.End()
-	if err != nil {
-		rel.End()
-		return 0, 0, err
-	}
-	ph = trace.StartChild(rel, "x.search")
-	cur.set(ph)
-	x, err := core.XGiven(deltaHat)
-	cur.set(nil)
-	ph.End()
-	if err != nil {
-		rel.End()
-		return 0, 0, err
-	}
-	nsp := trace.StartChild(rel, "noise.draw")
-	lap := noise.Laplace(rng, deltaHat/params.Epsilon2)
-	v := x + lap
-	nsp.End()
-	rel.Float("noiseMagnitude", math.Abs(lap))
-	rel.End()
-	return v, lap, nil
-}
-
-// setFanout points the core's ladder waves at the plan's compute pool (a
-// plan compiled without one stays serial). The wave probe schedule is a
-// constant of the mechanism, so this changes wall-clock overlap only —
-// never a computed value (see mechanism.Core.SetFanout).
-func (p *Plan) setFanout(ctx context.Context, core *mechanism.Core) {
+	// The wave probe schedule is a constant of the mechanism, so the pool
+	// changes wall-clock overlap only — never a computed value (see
+	// mechanism.Core.SetFanout). A plan compiled without one stays serial.
 	if p.pool != nil {
 		core.SetFanout(mechanism.Fanout(p.pool.Fanout(ctx)))
 	}
+	w.core, w.live, w.id = core, p.live, p.live.add(ctx)
+	return w, nil
+}
+
+func (w *walk) end() {
+	if w.live != nil {
+		w.live.remove(w.id)
+	}
+}
+
+// phase runs one step of the walk under its own span, a child of parent,
+// and points the cursor at that span so every LP solve the step demands
+// records its lp.solve span there.
+func (w *walk) phase(parent *trace.Span, name string, step func() error) error {
+	sp := trace.StartChild(parent, name)
+	w.cur.set(sp)
+	err := step()
+	w.cur.set(nil)
+	sp.End()
+	return err
+}
+
+// release is the shared body of Release and ReleaseObserved. With observe,
+// the Theorem 1 bound for this ε comes first: it consumes no randomness,
+// so the released value is bit-identical either way, and its one
+// data-dependent input, G_{|P|}, is solved through the walk like every
+// other rung — under the release span, honouring ctx. The bound is also
+// recorded as a span attribute, so traces and the slow-query log carry the
+// expected error beside the phases that produced the answer, and the
+// realized noise is read off the final Laplace draw.
+func (p *Plan) release(ctx context.Context, epsilon float64, rng *rand.Rand, observe bool) (ReleaseObservation, error) {
+	w, err := p.startWalk(ctx, epsilon)
+	if err != nil {
+		return ReleaseObservation{}, err
+	}
+	defer w.end()
+	if p.sampled != nil {
+		if err := ctx.Err(); err != nil {
+			return ReleaseObservation{}, err
+		}
+	}
+	rel := trace.Child(ctx, "release")
+	defer rel.End()
+	var obs ReleaseObservation
+	if observe {
+		var perr error
+		if p.sampled != nil {
+			obs.Predicted = p.sampledProfile(epsilon, DefaultTail)
+		} else {
+			w.cur.set(rel)
+			obs.Predicted, perr = w.core.Accuracy(efficientG, DefaultTail)
+			w.cur.set(nil)
+		}
+		obs.PredictedOK = perr == nil
+		if obs.PredictedOK {
+			rel.Float("predictedError", obs.Predicted.Error)
+		}
+	}
+	// The estimator tier releases its cached estimate plus one Laplace draw
+	// at the sensitivity cap. The exact tier runs exactly
+	// mechanism.Core.Release — Δ̂ draw, X minimization, final Laplace, in
+	// that order, consuming the same two rng draws — driven here so each
+	// phase gets its own span. Spans only observe; the determinism tests
+	// pin the released values against Core.Release, so this duplication
+	// cannot drift silently.
+	var x, scale float64
+	if p.sampled != nil {
+		rel.Str("mode", ModeSampled)
+		x, scale = p.sampled.res.Estimate, p.sampled.cap/epsilon
+	} else {
+		var deltaHat float64
+		if err := w.phase(rel, "delta.search", func() (err error) {
+			deltaHat, err = w.core.NoisyDelta(rng)
+			return err
+		}); err != nil {
+			return ReleaseObservation{}, err
+		}
+		if err := w.phase(rel, "x.search", func() (err error) {
+			x, err = w.core.XGiven(deltaHat)
+			return err
+		}); err != nil {
+			return ReleaseObservation{}, err
+		}
+		scale = deltaHat / w.params.Epsilon2
+	}
+	nsp := trace.StartChild(rel, "noise.draw")
+	lap := noise.Laplace(rng, scale)
+	obs.Value = x + lap
+	nsp.End()
+	obs.NoiseMagnitude = math.Abs(lap)
+	rel.Float("noiseMagnitude", obs.NoiseMagnitude)
+	return obs, nil
 }
 
 // Warm materializes the release path's sequence state for ε without
@@ -699,45 +757,27 @@ func (p *Plan) setFanout(ctx context.Context, core *mechanism.Core) {
 // solved. Nothing is released and zero ε is spent — everything computed
 // is deterministic, non-private state that never leaves the plan. A
 // release at (or near) this ε afterwards typically finds every probe
-// solved and pays only the noise draws.
+// solved and pays only the noise draws. A sampled plan's release is one
+// Laplace draw over the cached estimate, so there is nothing to warm.
 func (p *Plan) Warm(ctx context.Context, epsilon float64) error {
-	if math.IsNaN(epsilon) || math.IsInf(epsilon, 0) || epsilon <= 0 {
-		return specErrorf("warm ε must be positive and finite, got %g", epsilon)
-	}
-	if p.sampled != nil {
-		// A sampled plan's release is one Laplace draw over the cached
-		// estimate — there is no ladder state to materialize.
-		return nil
-	}
-	params := mechanism.DefaultParams(epsilon, p.nodeLike)
-	var cur *spanCursor
-	if trace.FromContext(ctx) != nil {
-		cur = &spanCursor{}
-	}
-	core, err := mechanism.NewCore(ctxSeq{ctx: ctx, cur: cur, eff: p.eff}, params)
-	if err != nil {
+	w, err := p.startWalk(ctx, epsilon)
+	if err != nil || p.sampled != nil {
 		return err
 	}
-	p.setFanout(ctx, core)
-	id := p.live.add(ctx)
-	defer p.live.remove(id)
+	defer w.end()
 	wsp := trace.Child(ctx, "plan.warm")
-	ph := trace.StartChild(wsp, "delta.search")
-	cur.set(ph)
-	delta, err := core.Delta()
-	cur.set(nil)
-	ph.End()
-	if err != nil {
-		wsp.End()
+	defer wsp.End()
+	var delta float64
+	if err := w.phase(wsp, "delta.search", func() (err error) {
+		delta, err = w.core.Delta()
+		return err
+	}); err != nil {
 		return err
 	}
-	ph = trace.StartChild(wsp, "x.search")
-	cur.set(ph)
-	_, err = core.XGiven(math.Exp(params.Mu) * delta)
-	cur.set(nil)
-	ph.End()
-	wsp.End()
-	return err
+	return w.phase(wsp, "x.search", func() error {
+		_, err := w.core.XGiven(math.Exp(w.params.Mu) * delta)
+		return err
+	})
 }
 
 // spanCursor publishes "the phase span LP solves should parent under right

@@ -4,7 +4,6 @@ import (
 	"context"
 	"hash/fnv"
 	"math"
-	"math/rand"
 	"time"
 
 	"recmech/internal/estimate"
@@ -173,28 +172,6 @@ func sampledCap(spec *Spec, g *graph.Graph) (float64, error) {
 		return 0, specErrorf("sampled sensitivity cap for kind %q overflows at max degree %d; use exact mode", spec.Kind, d)
 	}
 	return math.Max(cap, 1), nil
-}
-
-// releaseSampled is the estimator tier's release: the cached estimate plus
-// one Laplace draw at scale cap/ε. It consumes exactly one rng draw — the
-// replay and determinism guarantees are the stream's, same as the exact
-// path's two draws.
-func (p *Plan) releaseSampled(ctx context.Context, epsilon float64, rng *rand.Rand, predicted float64) (float64, float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, 0, err
-	}
-	rel := trace.Child(ctx, "release")
-	rel.Str("mode", ModeSampled)
-	if !math.IsNaN(predicted) {
-		rel.Float("predictedError", predicted)
-	}
-	nsp := trace.StartChild(rel, "noise.draw")
-	lap := noise.Laplace(rng, p.sampled.cap/epsilon)
-	v := p.sampled.res.Estimate + lap
-	nsp.End()
-	rel.Float("noiseMagnitude", math.Abs(lap))
-	rel.End()
-	return v, lap, nil
 }
 
 // sampledProfile composes the release's Laplace tail bound with the

@@ -151,14 +151,14 @@ func (p *Pool) Fanout(ctx context.Context) func(n int, task func(i int) error) e
 // Tasks and Fanouts are instantaneous gauges; the *Total fields are
 // monotone counters over the pool's life.
 type Stats struct {
-	Size    int   // borrowable workers
-	Busy    int64 // workers currently borrowed
-	Tasks   int64 // tasks currently executing, callers included
-	Fanouts int64 // Map calls currently in progress
+	Size    int   `json:"size"`          // borrowable workers
+	Busy    int64 `json:"busy"`          // workers currently borrowed
+	Tasks   int64 `json:"tasksInFlight"` // tasks currently executing, callers included
+	Fanouts int64 `json:"fanouts"`       // Map calls currently in progress
 
-	TasksTotal   uint64 // tasks executed (or skipped as canceled)
-	FanoutsTotal uint64 // Map calls started
-	InlineTotal  uint64 // Map calls that borrowed no worker (starved pool or single task)
+	TasksTotal   uint64 `json:"tasksTotal"`    // tasks executed (or skipped as canceled)
+	FanoutsTotal uint64 `json:"fanoutsTotal"`  // Map calls started
+	InlineTotal  uint64 `json:"fanoutsInline"` // Map calls that borrowed no worker (starved pool or single task)
 }
 
 // Stats snapshots the pool's gauges and counters.

@@ -7,7 +7,6 @@ import (
 	"recmech/internal/estimate"
 	"recmech/internal/mechanism"
 	"recmech/internal/plan"
-	"recmech/internal/trace"
 )
 
 // DefaultTail is the tail parameter c substituted when an accuracy request
@@ -140,66 +139,30 @@ func (s *Service) Advise(ctx context.Context, req AdviseRequest) (AdviseInfo, er
 	if t := req.TargetError; math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
 		return AdviseInfo{}, badRequestf("targetError must be positive and finite, got %g", t)
 	}
-	if err := req.Request.normalize(s.cfg); err != nil {
-		return AdviseInfo{}, err
-	}
-	ds, err := s.reg.Get(req.Dataset)
-	if err != nil {
-		return AdviseInfo{}, err
-	}
-	// Resolve "auto" against the dataset before any key derivation: the
-	// advice must describe the tier a Query would actually run.
-	req.Request.resolveMode(ds, s.cfg)
-	// Trace policy matches Prepare: record a span tree exactly when real
-	// work (a compile, or joining one in flight) is about to happen.
-	var root *trace.Span
-	tctx := ctx
-	if pk, kerr := req.Request.ensurePlanKey(ds); kerr == nil && !s.exec.PlanReady(pk) {
-		root = s.tr.Start("advise")
-		annotateRoot(root, ds, &req.Request)
-		tctx = trace.NewContext(ctx, root)
-	}
-	var (
-		pl  *plan.Plan
-		hit bool
-	)
-	err = retryLeaderCancel(ctx, func() error {
-		var err error
-		pl, hit, err = s.exec.PlanFor(tctx, ds, &req.Request)
-		return err
-	})
-	var tid string
-	if root != nil {
-		root.Bool("planHit", hit)
-		if err != nil {
-			root.Str("error", err.Error())
-		}
-		tid = s.tr.Finish(root)
-		putTraceID(ctx, tid)
-	}
+	pp, err := s.planFor(ctx, "advise", &req.Request, false)
 	if err != nil {
 		return AdviseInfo{}, err
 	}
 	info := AdviseInfo{
-		Dataset:         ds.Name,
+		Dataset:         pp.ds.Name,
 		Kind:            req.Kind,
 		Privacy:         req.Privacy,
 		Mode:            req.Mode,
-		AlreadyPrepared: hit,
-		TraceID:         tid,
+		AlreadyPrepared: pp.hit,
+		TraceID:         pp.traceID,
 	}
-	if res, ok := pl.EstimateResult(); ok {
+	if res, ok := pp.pl.EstimateResult(); ok {
 		est := estimateInfo(res)
 		info.Estimate = &est
 	}
-	b, err := pl.ErrorProfile(req.Epsilon, tail)
+	b, err := pp.pl.ErrorProfile(req.Epsilon, tail)
 	if err != nil {
 		return AdviseInfo{}, asRequestError(err)
 	}
 	at := accuracyInfo(req.Epsilon, tail, b)
 	info.AtEpsilon = &at
 	if req.TargetError > 0 {
-		eps, ab, err := pl.EpsilonFor(req.TargetError, tail)
+		eps, ab, err := pp.pl.EpsilonFor(req.TargetError, tail)
 		if err != nil {
 			return AdviseInfo{}, asRequestError(err)
 		}

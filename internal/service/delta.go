@@ -190,22 +190,23 @@ func (s *Service) appendTables(root *trace.Span, ds *Dataset, ap AppendRequest) 
 
 // rewarmPlans advances up to maxRewarmPlans of the old generation's cached
 // plans to the new generation. Collection is synchronous (under adminMu, via
-// Peek — no hit-ratio skew, no flights joined); the Advance calls run in
-// background goroutines tracked by s.rewarmWG, publishing through the plan
-// cache's singleflight so a concurrent query for the same key coalesces
-// instead of double-compiling.
+// Peek — no hit-ratio skew, no flights joined), and so is registering each
+// advance as the plan cache's flight for its new key; only the Advance
+// calls run in the background. Every query that reaches the plan cache
+// after the append answers therefore joins an advance instead of compiling
+// from scratch.
 func (s *Service) rewarmPlans(old, cur *Dataset, d plan.Delta) int {
 	if cur.Graph == nil {
 		return 0
 	}
 	oldPrefix := fmt.Sprintf("%s%s%d|", old.Name, genTag(old), old.Gen)
 	newPrefix := currentKeyPrefix(cur)
-	type job struct {
-		p      *plan.Plan
-		newKey string
-	}
-	var jobs []job
+	src := plan.Source{Graph: cur.Graph}
+	n := 0
 	for _, k := range s.exec.plans.Keys() {
+		if n >= maxRewarmPlans {
+			break
+		}
 		if !strings.HasPrefix(k, oldPrefix) {
 			continue
 		}
@@ -213,28 +214,22 @@ func (s *Service) rewarmPlans(old, cur *Dataset, d plan.Delta) int {
 		if !ok || pl == nil || pl.Spec() == nil {
 			continue
 		}
-		jobs = append(jobs, job{p: pl, newKey: newPrefix + k[len(oldPrefix):]})
-		if len(jobs) >= maxRewarmPlans {
-			break
-		}
-	}
-	src := plan.Source{Graph: cur.Graph}
-	for _, j := range jobs {
 		s.rewarmWG.Add(1)
-		go func(j job) {
-			defer s.rewarmWG.Done()
-			_, _, _ = s.exec.plans.Do(context.Background(), j.newKey, func() (*plan.Plan, error) {
-				np, prof, err := j.p.Advance(context.Background(), src, d, s.exec.compileWorkers())
-				if err == nil && prof.Fallback {
-					// A fallback recompile is a fresh compile in all but
-					// name; record it where fresh compiles are recorded.
-					s.exec.compiles.note(np.Profile())
-				}
-				return np, err
-			})
-		}(j)
+		started := s.exec.plans.Go(newPrefix+k[len(oldPrefix):], func() (*plan.Plan, error) {
+			np, prof, err := pl.Advance(context.Background(), src, d, s.exec.compileWorkers())
+			if err == nil && prof.Fallback {
+				// A fallback recompile is a fresh compile in all but
+				// name; record it where fresh compiles are recorded.
+				s.exec.compiles.note(np.Profile())
+			}
+			return np, err
+		}, s.rewarmWG.Done)
+		if !started {
+			s.rewarmWG.Done()
+		}
+		n++
 	}
-	return len(jobs)
+	return n
 }
 
 // currentKeyPrefix is the cache-key prefix of a dataset's current

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -169,6 +170,50 @@ func TestAppendRewarmPublishesNewGeneration(t *testing.T) {
 	}
 	if st := s.Stats(); st.DeltaCompiles == nil || st.DeltaCompiles.Appends == 0 {
 		t.Fatalf("stats missing deltaCompiles section: %+v", st.DeltaCompiles)
+	}
+}
+
+// TestPostAppendQueriesJoinRewarm pins the re-warm contract: the append
+// registers each advance under the new generation's plan key before it
+// answers, so a battery asked the moment the append returns joins those
+// advances and compiles nothing. One P makes the query reach the plan
+// cache before any background goroutine runs — the interleaving where an
+// advance started only after the append returned loses the race.
+func TestPostAppendQueriesJoinRewarm(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := New(Config{DatasetBudget: 1000, Workers: 1, Seed: 1})
+	defer s.rewarmWG.Wait()
+	g := graph.RandomAverageDegree(noise.NewRand(3), 14, 4)
+	if err := s.AddGraph("g", g); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	battery := []Request{
+		{Dataset: "g", Kind: KindTriangles, Epsilon: 0.5},
+		{Dataset: "g", Kind: KindTriangles, Privacy: "edge", Epsilon: 0.5},
+		{Dataset: "g", Kind: KindKTriangles, K: 2, Epsilon: 0.5},
+	}
+	for _, req := range battery {
+		if _, err := s.Prepare(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, edge := range freshEdges(g, 10) {
+		compiles, advances := s.Stats().Compiles.Count, plan.ReadDeltaCounters().Advances
+		if _, err := s.AppendDataset("g", AppendRequest{Edges: edge}); err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range battery {
+			if _, err := s.Query(ctx, req); err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+		}
+		if got := s.Stats().Compiles.Count - compiles; got != 0 {
+			t.Fatalf("append %d: the battery compiled %d plan(s) from scratch, want 0", i, got)
+		}
+		if got := plan.ReadDeltaCounters().Advances - advances; got != uint64(len(battery)) {
+			t.Fatalf("append %d: %d plan(s) advanced, want %d", i, got, len(battery))
+		}
 	}
 }
 

@@ -256,36 +256,22 @@ func (e *Executor) Execute(ctx context.Context, ds *Dataset, req *Request) (valu
 
 // PlanFor fetches (or compiles) the plan for a normalized request under the
 // same admission control as Execute, without drawing a release or touching
-// the budget: the zero-ε path behind Service.Advise. Reports whether the
-// plan was already cached.
-func (e *Executor) PlanFor(ctx context.Context, ds *Dataset, req *Request) (*plan.Plan, bool, error) {
-	rng, err := e.acquire(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	defer e.releaseSlot(rng)
-	return e.plan(ctx, ds, req)
-}
-
-// Prepare warms the plan cache for a normalized request without drawing a
-// release or touching the budget: the full deterministic pipeline runs (or
-// is found already materialized) and the plan's Δ ladder and central X
-// search are solved for the request's ε (the server
-// default when the request omits it), so the next Query at that ε
-// typically pays only the noise draws. Returns the warmed plan (nil when
-// none materialized) and whether it was already cached.
-func (e *Executor) Prepare(ctx context.Context, ds *Dataset, req *Request) (*plan.Plan, bool, error) {
+// the budget: the zero-ε path behind Service.Prepare and Service.Advise.
+// With warm, the plan's Δ ladder and central X search are also solved for
+// the request's ε (the server default when the request omits it), so the
+// next Query at that ε typically pays only the noise draws. Reports whether
+// the plan was already cached.
+func (e *Executor) PlanFor(ctx context.Context, ds *Dataset, req *Request, warm bool) (*plan.Plan, bool, error) {
 	rng, err := e.acquire(ctx)
 	if err != nil {
 		return nil, false, err
 	}
 	defer e.releaseSlot(rng)
 	pl, hit, err := e.plan(ctx, ds, req)
-	if err != nil {
-		return nil, hit, err
+	if err == nil && warm {
+		if err = pl.Warm(ctx, req.Epsilon); err != nil {
+			err = asRequestError(err)
+		}
 	}
-	if err := pl.Warm(ctx, req.Epsilon); err != nil {
-		return pl, hit, asRequestError(err)
-	}
-	return pl, hit, nil
+	return pl, hit, err
 }

@@ -13,6 +13,7 @@ import (
 	"recmech/internal/lp"
 	"recmech/internal/metrics"
 	"recmech/internal/plan"
+	"recmech/internal/pool"
 	"recmech/internal/sfcache"
 	"recmech/internal/store"
 	"recmech/internal/trace"
@@ -625,12 +626,21 @@ type ServiceStats struct {
 	Jobs          JobStats              `json:"jobs"`
 	Caches        map[string]CacheStats `json:"caches"`
 	Workers       WorkerStats           `json:"workers"`
-	CompilePool   PoolStats             `json:"compilePool"`
-	Compiles      CompileStats          `json:"compiles"`
-	Traces        trace.Stats           `json:"traces"`
-	LP            LPStats               `json:"lp"`
-	Runtime       RuntimeStats          `json:"runtime"`
-	Store         *StoreStats           `json:"store,omitempty"`
+	// CompilePool snapshots the shared compile pool (see internal/pool):
+	// fixed size, instantaneous borrow/task/fan-out gauges, and monotone
+	// totals. A high InlineTotal rate means fresh compiles routinely find
+	// the pool starved and fall back to single-threaded analysis — raise
+	// -compile-parallelism or add cores.
+	CompilePool pool.Stats   `json:"compilePool"`
+	Compiles    CompileStats `json:"compiles"`
+	Traces      trace.Stats  `json:"traces"`
+	// LP snapshots the process-wide LP solver counters. The warm trio
+	// satisfies WarmAttempts = WarmApplied + WarmDiscarded; a falling
+	// applied/attempts ratio is the first sign warm starting has stopped
+	// paying.
+	LP      lp.Counters  `json:"lp"`
+	Runtime RuntimeStats `json:"runtime"`
+	Store   *StoreStats  `json:"store,omitempty"`
 	// Accuracy aggregates the per-release error telemetry by workload
 	// family; families with no releases yet are omitted. This is an
 	// operator surface — present regardless of Config.ExposeAccuracy.
@@ -651,15 +661,8 @@ type ServiceStats struct {
 // delta traffic shows TuplesReused ≫ TuplesEncoded and UnitsDirty ≪
 // UnitsTotal; Fallbacks counts advances that gave up and recompiled.
 type DeltaCompileStats struct {
-	Appends       uint64 `json:"appends"`
-	Advances      uint64 `json:"advances"`
-	Fallbacks     uint64 `json:"fallbacks"`
-	Identical     uint64 `json:"identical"`
-	TuplesReused  uint64 `json:"tuplesReused"`
-	TuplesEncoded uint64 `json:"tuplesEncoded"`
-	ValuesCarried uint64 `json:"valuesCarried"`
-	UnitsTotal    uint64 `json:"unitsTotal"`
-	UnitsDirty    uint64 `json:"unitsDirty"`
+	Appends uint64 `json:"appends"`
+	plan.DeltaCounters
 }
 
 // EstimatorStats summarizes the estimator tier since boot: how many releases
@@ -723,12 +726,9 @@ type JobStats struct {
 // classified at lookup time (see sfcache.Stats), so coalesced waiters of
 // a flight that ultimately failed still count as shared.
 type CacheStats struct {
-	Entries   int     `json:"entries"`
-	Hits      uint64  `json:"hits"`
-	Misses    uint64  `json:"misses"`
-	Coalesced uint64  `json:"coalesced"`
-	Evictions uint64  `json:"evictions"`
-	HitRatio  float64 `json:"hitRatio"`
+	Entries int `json:"entries"`
+	sfcache.Stats
+	HitRatio float64 `json:"hitRatio"`
 }
 
 // WorkerStats snapshots the executor pool.
@@ -737,51 +737,16 @@ type WorkerStats struct {
 	Busy  int `json:"busy"`
 }
 
-// PoolStats snapshots the shared compile pool (see internal/pool): fixed
-// size, instantaneous borrow/task/fan-out gauges, and monotone totals. A
-// high InlineTotal rate means fresh compiles routinely find the pool
-// starved and fall back to single-threaded analysis — raise
-// -compile-parallelism or add cores.
-type PoolStats struct {
-	Size          int    `json:"size"`
-	Busy          int64  `json:"busy"`
-	TasksInFlight int64  `json:"tasksInFlight"`
-	Fanouts       int64  `json:"fanouts"`
-	TasksTotal    uint64 `json:"tasksTotal"`
-	FanoutsTotal  uint64 `json:"fanoutsTotal"`
-	InlineTotal   uint64 `json:"fanoutsInline"`
-}
-
-// LPStats snapshots the process-wide LP solver counters. The warm trio
-// satisfies WarmAttempts = WarmApplied + WarmDiscarded; a falling
-// applied/attempts ratio is the first sign warm starting has stopped paying.
-type LPStats struct {
-	Solves        uint64 `json:"solves"`
-	Pivots        uint64 `json:"pivots"`
-	Interrupts    uint64 `json:"interrupts"`
-	WarmAttempts  uint64 `json:"warmAttempts"`
-	WarmApplied   uint64 `json:"warmApplied"`
-	WarmDiscarded uint64 `json:"warmDiscarded"`
-}
-
-// StoreStats snapshots the durable store counters (durable mode only).
+// StoreStats snapshots the durable store counters (durable mode only),
+// with the WAL fsync histogram's count and sum beside them.
 type StoreStats struct {
-	WALAppends       uint64  `json:"walAppends"`
-	WALBytes         uint64  `json:"walBytes"`
-	Compactions      uint64  `json:"compactions"`
-	CompactionErrors uint64  `json:"compactionErrors"`
-	FsyncCount       uint64  `json:"fsyncCount"`
-	FsyncSecondsSum  float64 `json:"fsyncSecondsSum"`
+	store.Metrics
+	FsyncCount      uint64  `json:"fsyncCount"`
+	FsyncSecondsSum float64 `json:"fsyncSecondsSum"`
 }
 
 func cacheStats(entries int, st sfcache.Stats) CacheStats {
-	cs := CacheStats{
-		Entries:   entries,
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Coalesced: st.Coalesced,
-		Evictions: st.Evictions,
-	}
+	cs := CacheStats{Entries: entries, Stats: st}
 	if lookups := st.Hits + st.Misses + st.Coalesced; lookups > 0 {
 		cs.HitRatio = float64(st.Hits+st.Coalesced) / float64(lookups)
 	}
@@ -791,7 +756,6 @@ func cacheStats(entries int, st sfcache.Stats) CacheStats {
 // Stats snapshots the service-wide counters (GET /v1/stats).
 func (s *Service) Stats() ServiceStats {
 	m := s.met
-	lpc := lp.ReadCounters()
 	st := ServiceStats{
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Datasets:      len(s.reg.List()),
@@ -816,13 +780,11 @@ func (s *Service) Stats() ServiceStats {
 			"release": cacheStats(s.cache.Len(), s.cache.Stats()),
 			"plan":    cacheStats(s.exec.plans.Len(), s.exec.plans.Stats()),
 		},
-		Workers:  WorkerStats{Total: cap(s.exec.slots), Busy: cap(s.exec.slots) - len(s.exec.slots)},
-		Compiles: s.exec.CompileStats(),
-		Traces:   s.tr.TracerStats(),
-		LP: LPStats{
-			Solves: lpc.Solves, Pivots: lpc.Pivots, Interrupts: lpc.Interrupts,
-			WarmAttempts: lpc.WarmAttempts, WarmApplied: lpc.WarmApplied, WarmDiscarded: lpc.WarmDiscarded,
-		},
+		Workers:     WorkerStats{Total: cap(s.exec.slots), Busy: cap(s.exec.slots) - len(s.exec.slots)},
+		CompilePool: s.exec.CompilePool().Stats(),
+		Compiles:    s.exec.CompileStats(),
+		Traces:      s.tr.TracerStats(),
+		LP:          lp.ReadCounters(),
 	}
 	ms := m.runtime.sample()
 	st.Runtime = RuntimeStats{
@@ -831,16 +793,6 @@ func (s *Service) Stats() ServiceStats {
 		GCPauseSeconds:   m.runtime.lastPause().Seconds(),
 		GCCycles:         ms.NumGC,
 		GOMAXPROCSetting: runtime.GOMAXPROCS(0),
-	}
-	ps := s.exec.CompilePool().Stats()
-	st.CompilePool = PoolStats{
-		Size:          ps.Size,
-		Busy:          ps.Busy,
-		TasksInFlight: ps.Tasks,
-		Fanouts:       ps.Fanouts,
-		TasksTotal:    ps.TasksTotal,
-		FanoutsTotal:  ps.FanoutsTotal,
-		InlineTotal:   ps.InlineTotal,
 	}
 	for _, kind := range spendFamilies {
 		h := m.accPredicted[kind]
@@ -868,28 +820,11 @@ func (s *Service) Stats() ServiceStats {
 		st.Estimator = es
 	}
 	if dc := plan.ReadDeltaCounters(); m.appends.Value() > 0 || dc.Advances+dc.Fallbacks > 0 {
-		st.DeltaCompiles = &DeltaCompileStats{
-			Appends:       m.appends.Value(),
-			Advances:      dc.Advances,
-			Fallbacks:     dc.Fallbacks,
-			Identical:     dc.Identical,
-			TuplesReused:  dc.TuplesReused,
-			TuplesEncoded: dc.TuplesEncoded,
-			ValuesCarried: dc.ValuesCarried,
-			UnitsTotal:    dc.UnitsTotal,
-			UnitsDirty:    dc.UnitsDirty,
-		}
+		st.DeltaCompiles = &DeltaCompileStats{Appends: m.appends.Value(), DeltaCounters: dc}
 	}
 	if s.store != nil {
-		sm := s.store.Metrics()
-		st.Store = &StoreStats{
-			WALAppends:       sm.WALAppends,
-			WALBytes:         sm.WALBytes,
-			Compactions:      sm.Compactions,
-			CompactionErrors: sm.CompactionErrors,
-			FsyncCount:       s.store.FsyncHistogram().Count(),
-			FsyncSecondsSum:  s.store.FsyncHistogram().Sum(),
-		}
+		h := s.store.FsyncHistogram()
+		st.Store = &StoreStats{Metrics: s.store.Metrics(), FsyncCount: h.Count(), FsyncSecondsSum: h.Sum()}
 	}
 	return st
 }

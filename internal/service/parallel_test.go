@@ -82,7 +82,7 @@ func TestCompilePoolStatsExposed(t *testing.T) {
 		t.Errorf("CompilePool.FanoutsTotal = %d on a single-worker pool, want 0 (sequential compiles)",
 			st.CompilePool.FanoutsTotal)
 	}
-	if st.CompilePool.Busy != 0 || st.CompilePool.TasksInFlight != 0 {
+	if st.CompilePool.Busy != 0 || st.CompilePool.Tasks != 0 {
 		t.Errorf("pool gauges not drained: %+v", st.CompilePool)
 	}
 	var sb strings.Builder

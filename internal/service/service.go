@@ -44,9 +44,6 @@ type Config struct {
 	CompileParallelism int
 	// Seed makes the noise streams reproducible across runs. Default 1.
 	Seed int64
-	// CacheEntries bounds the release cache; the oldest recorded releases
-	// are evicted beyond it (a repeat then spends fresh ε). Default 4096.
-	CacheEntries int
 	// PlanEntries bounds the compiled-plan cache; the oldest plans are
 	// evicted beyond it (a repeat then recompiles). Plans hold LP state and
 	// solved sequence values, so the bound is deliberately tighter than
@@ -71,10 +68,6 @@ type Config struct {
 	// TraceRingEntries bounds the ring of recent completed traces behind
 	// GET /v1/traces; the oldest are evicted beyond it. Default 256.
 	TraceRingEntries int
-	// TraceMaxSpans bounds the spans recorded per trace; work beyond it
-	// still runs but is counted as dropped rather than recorded.
-	// Default 256 (a deep compile records well under 100).
-	TraceMaxSpans int
 	// ExposeAccuracy enables the tenant-facing accuracy surfaces: the
 	// accuracy block on /v2/prepare responses and the POST /v2/advise
 	// endpoint. Off by default, deliberately: the Theorem 1 error bound is
@@ -125,9 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.CacheEntries < 1 {
-		c.CacheEntries = 4096
-	}
 	if c.PlanEntries < 1 {
 		c.PlanEntries = 512
 	}
@@ -143,9 +133,6 @@ func (c Config) withDefaults() Config {
 	if c.TraceRingEntries < 1 {
 		c.TraceRingEntries = 256
 	}
-	if c.TraceMaxSpans < 1 {
-		c.TraceMaxSpans = 256
-	}
 	if c.SpendRateWindow <= 0 {
 		c.SpendRateWindow = time.Hour
 	}
@@ -160,6 +147,11 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// releaseCacheEntries bounds the release cache: the oldest recorded
+// releases are evicted beyond it (a repeat then spends fresh ε), and a
+// durable store retains at least this many release records to replay.
+const releaseCacheEntries = 4096
 
 // Service is the concurrent DP query service: registry + accountant +
 // executor + release cache behind one Query method. Construct with New,
@@ -182,9 +174,9 @@ type Service struct {
 	// registration resurrects the dataset in memory only.
 	adminMu sync.Mutex
 
-	// rewarmWG tracks the background plan re-warm goroutines an append
-	// spawns (see rewarmPlans), so tests — and a graceful shutdown — can
-	// wait for lineage maintenance to settle.
+	// rewarmWG tracks the background plan advances an append starts (see
+	// rewarmPlans) until each is published in the plan cache. Only tests
+	// wait on it, for lineage maintenance to settle; shutdown does not.
 	rewarmWG sync.WaitGroup
 }
 
@@ -196,15 +188,11 @@ func New(cfg Config) *Service {
 		cfg:   cfg,
 		reg:   NewRegistry(),
 		acct:  NewAccountant(),
-		cache: NewReleaseCache(cfg.CacheEntries),
+		cache: NewReleaseCache(releaseCacheEntries),
 		exec:  NewExecutor(cfg.Workers, cfg.PlanEntries, cfg.CompileParallelism, cfg.Seed),
 		jobs:  newJobTable(cfg.MaxJobs),
 		met:   newServiceMetrics(cfg.SpendRateWindow),
-		tr: trace.New(trace.Options{
-			SampleEvery: cfg.TraceSampleEvery,
-			MaxSpans:    cfg.TraceMaxSpans,
-			Ring:        cfg.TraceRingEntries,
-		}),
+		tr:    trace.New(trace.Options{SampleEvery: cfg.TraceSampleEvery, Ring: cfg.TraceRingEntries}),
 	}
 	s.exec.met = s.met
 	s.met.bind(s)
@@ -223,7 +211,7 @@ func NewWithStore(cfg Config, st *store.Store) (*Service, []error) {
 	s := New(cfg)
 	s.store = st
 	s.met.bindStore(st)
-	st.SetMaxReleases(s.cfg.CacheEntries) // retain at least what the cache can replay
+	st.SetMaxReleases(releaseCacheEntries) // retain at least what the cache can replay
 	s.acct.SetJournal(st)
 	for name, l := range st.Ledgers() {
 		s.acct.Restore(name, l.Total, l.Spent)
@@ -496,68 +484,79 @@ func (s *Service) Query(ctx context.Context, req Request) (Response, error) {
 // workload at that ε typically pays only the noise draws. It reports
 // whether the plan was already materialized.
 func (s *Service) Prepare(ctx context.Context, req Request) (PrepareInfo, error) {
-	if err := req.normalize(s.cfg); err != nil {
-		return PrepareInfo{}, err
-	}
-	ds, err := s.reg.Get(req.Dataset)
+	pp, err := s.planFor(ctx, "prepare", &req, true)
 	if err != nil {
 		return PrepareInfo{}, err
 	}
-	// Resolve "auto" against the dataset before anything derives a cache key.
-	req.resolveMode(ds, s.cfg)
-	// Trace a prepare exactly when it is about to do real work: the plan
-	// cache holds no completed plan for the key, so a compile (or a join
-	// onto an in-flight one) follows.
-	var root *trace.Span
-	tctx := ctx
-	if pk, kerr := req.ensurePlanKey(ds); kerr == nil && !s.exec.PlanReady(pk) {
-		root = s.tr.Start("prepare")
-		annotateRoot(root, ds, &req)
-		tctx = trace.NewContext(ctx, root)
+	info := PrepareInfo{Dataset: pp.ds.Name, Kind: req.Kind, Privacy: req.Privacy, Mode: req.Mode, AlreadyPrepared: pp.hit, TraceID: pp.traceID}
+	if prof := pp.pl.Profile(); prof.Kind != "" {
+		info.Compile = &prof
 	}
-	var (
-		pl  *plan.Plan
-		hit bool
-	)
-	err = retryLeaderCancel(ctx, func() error {
-		var err error
-		pl, hit, err = s.exec.Prepare(tctx, ds, &req)
-		return err
-	})
-	var tid string
-	if root != nil {
-		root.Bool("planHit", hit)
-		if err != nil {
-			root.Str("error", err.Error())
+	// The accuracy and estimator-contract blocks are tenant-facing and
+	// data-dependent, so they ride only on servers that opted in (see
+	// Config.ExposeAccuracy). A profile failure degrades to omission: the
+	// prepare itself succeeded.
+	if s.cfg.ExposeAccuracy {
+		if b, err := pp.pl.ErrorProfile(req.Epsilon, DefaultTail); err == nil {
+			acc := accuracyInfo(req.Epsilon, DefaultTail, b)
+			info.Accuracy = &acc
 		}
-		tid = s.tr.Finish(root)
-		putTraceID(ctx, tid)
-	}
-	if err != nil {
-		return PrepareInfo{}, err
-	}
-	info := PrepareInfo{Dataset: ds.Name, Kind: req.Kind, Privacy: req.Privacy, Mode: req.Mode, AlreadyPrepared: hit, TraceID: tid}
-	if pl != nil {
-		prof := pl.Profile()
-		if prof.Kind != "" {
-			info.Compile = &prof
-		}
-		// The accuracy and estimator-contract blocks are tenant-facing and
-		// data-dependent, so they ride only on servers that opted in (see
-		// Config.ExposeAccuracy). A profile failure degrades to omission:
-		// the prepare itself succeeded.
-		if s.cfg.ExposeAccuracy {
-			if b, err := pl.ErrorProfile(req.Epsilon, DefaultTail); err == nil {
-				acc := accuracyInfo(req.Epsilon, DefaultTail, b)
-				info.Accuracy = &acc
-			}
-			if res, ok := pl.EstimateResult(); ok {
-				est := estimateInfo(res)
-				info.Estimate = &est
-			}
+		if res, ok := pp.pl.EstimateResult(); ok {
+			est := estimateInfo(res)
+			info.Estimate = &est
 		}
 	}
 	return info, nil
+}
+
+// prepared is what the zero-ε plan path hands Prepare and Advise: the
+// resolved dataset snapshot, the plan, whether the plan was already
+// cached, and the ID of the trace recorded for it ("" when none was).
+type prepared struct {
+	ds      *Dataset
+	pl      *plan.Plan
+	hit     bool
+	traceID string
+}
+
+// planFor is the zero-ε plan path behind Prepare and Advise: normalize the
+// request; resolve its dataset, and "auto" against that dataset, so the
+// plan is the tier a Query would run; trace the path as op only when the
+// plan is cold — no completed plan is cached for the key, so a compile (or
+// a join onto one in flight) follows; fetch or compile the plan, warming
+// its ladder for req.Epsilon when warm is set, retrying a flight leader's
+// cancellation; and finish the trace.
+func (s *Service) planFor(ctx context.Context, op string, req *Request, warm bool) (prepared, error) {
+	if err := req.normalize(s.cfg); err != nil {
+		return prepared{}, err
+	}
+	ds, err := s.reg.Get(req.Dataset)
+	if err != nil {
+		return prepared{}, err
+	}
+	req.resolveMode(ds, s.cfg)
+	var root *trace.Span
+	tctx := ctx
+	if pk, kerr := req.ensurePlanKey(ds); kerr == nil && !s.exec.PlanReady(pk) {
+		root = s.tr.Start(op)
+		annotateRoot(root, ds, req)
+		tctx = trace.NewContext(ctx, root)
+	}
+	pp := prepared{ds: ds}
+	err = retryLeaderCancel(ctx, func() error {
+		var err error
+		pp.pl, pp.hit, err = s.exec.PlanFor(tctx, ds, req, warm)
+		return err
+	})
+	if root != nil {
+		root.Bool("planHit", pp.hit)
+		if err != nil {
+			root.Str("error", err.Error())
+		}
+		pp.traceID = s.tr.Finish(root)
+		putTraceID(ctx, pp.traceID)
+	}
+	return pp, err
 }
 
 // retryLeaderCancel runs op until it stops failing with another flight

@@ -307,10 +307,8 @@ func TestWarmSampling(t *testing.T) {
 
 // TestLPSolveSpansOnePerSolvedRung pins the lp.solve spans under forced
 // tracing: a traced release records one span for each ladder rung it
-// solves, and none for a rung the plan already holds. A fresh query also
-// solves one rung outside the release phases — G_{|P|}, for the accuracy
-// prediction made before the release span opens — and that solve records
-// no span.
+// solves — G_{|P|} of the accuracy prediction included — and none for a
+// rung the plan already holds.
 func TestLPSolveSpansOnePerSolvedRung(t *testing.T) {
 	svc := traceTestService(t, Config{DatasetBudget: 10, Seed: 1, TraceSampleEvery: 1})
 	ctx := context.Background()
@@ -355,8 +353,8 @@ func TestLPSolveSpansOnePerSolvedRung(t *testing.T) {
 			t.Errorf("fresh query: rung %s has %d lp.solve spans, want 1", rung, n)
 		}
 	}
-	if len(fresh) == 0 || total(fresh) != solves-1 {
-		t.Fatalf("fresh query: %d lp.solve spans for %d LP solves, want one per solve but G_{|P|}'s", total(fresh), solves)
+	if len(fresh) == 0 || total(fresh) != solves {
+		t.Fatalf("fresh query: %d lp.solve spans for %d LP solves, want one per solve", total(fresh), solves)
 	}
 
 	spans, solves, cached := query(0.4)

@@ -1,8 +1,9 @@
 // Package sfcache is a bounded cache with singleflight computation: the
-// first caller for a key computes, concurrent callers for the same key wait
-// for and share that one result, and completed entries are evicted FIFO
-// beyond a bound. It is the one implementation behind both the serving
-// layer's release cache and the plan cache — subtle concurrency code this
+// first caller for a key computes (or, through Go, starts the computation
+// in the background), concurrent callers for the same key wait for and
+// share that one result, and completed entries are evicted FIFO beyond a
+// bound. It is the one implementation behind both the serving layer's
+// release cache and the plan cache — subtle concurrency code this
 // repository should only have to get right once.
 //
 // Failed computations are never recorded: the entry is removed so a later
@@ -26,27 +27,27 @@ type Cache[V any] struct {
 	order      []string // completed entries, insertion order, for eviction
 	maxEntries int
 
-	hits      atomic.Uint64 // Do found a completed entry
-	misses    atomic.Uint64 // Do computed (this caller led the flight)
-	coalesced atomic.Uint64 // Do joined an in-flight computation
+	hits      atomic.Uint64 // a lookup found a completed entry
+	misses    atomic.Uint64 // a lookup led a new flight
+	coalesced atomic.Uint64 // a lookup joined an in-flight computation
 	evictions atomic.Uint64 // completed entries dropped beyond the bound
 }
 
 // Stats is a point-in-time snapshot of the cache's event counters, all
-// monotone over the cache's life, classified at lookup time: Hits counts
-// Do calls that found a completed entry, Misses counts Do calls that led
-// a computation, Coalesced counts Do calls that joined another caller's
-// in-flight computation — whether or not that flight ultimately
-// succeeded, so a waiter that receives the flight's error (or abandons it
-// on cancellation) still counted — and Evictions counts completed entries
-// dropped beyond the bound. Hits + Coalesced approximates the work (and,
+// monotone over the cache's life, classified at lookup time (a Do or a Go
+// is one lookup): Hits counts lookups that found a completed entry, Misses
+// counts lookups that led a computation, Coalesced counts lookups that
+// joined another caller's in-flight computation — whether or not that
+// flight ultimately succeeded, so a waiter that receives the flight's
+// error (or abandons it on cancellation) still counted — and Evictions
+// counts completed entries dropped beyond the bound. Hits + Coalesced approximates the work (and,
 // for a release cache, the ε) saved by sharing; it is exact when flights
 // succeed, a slight overcount when they fail.
 type Stats struct {
-	Hits      uint64
-	Misses    uint64
-	Coalesced uint64
-	Evictions uint64
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Coalesced uint64 `json:"coalesced"`
+	Evictions uint64 `json:"evictions"`
 }
 
 // Stats snapshots the cache's event counters.
@@ -124,37 +125,73 @@ func (c *Cache[V]) Preload(key string, val V) {
 // runs synchronously in the calling goroutine, at most once per flight).
 // A waiter abandons the flight (without disturbing it) when ctx is done.
 func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error)) (V, bool, error) {
+	e, lead := c.join(key)
+	if lead {
+		c.run(key, e, compute)
+		return e.val, false, e.err
+	}
 	var zero V
+	select {
+	case <-e.ready:
+		if e.err != nil {
+			return zero, false, e.err
+		}
+		return e.val, true, nil
+	case <-ctx.Done():
+		return zero, false, ctx.Err()
+	}
+}
+
+// Go starts key's flight in the background: it registers the flight under
+// the cache lock, then runs compute on a new goroutine, so every Do for key
+// issued after Go returns joins that flight instead of computing its own.
+// It reports whether it started one. A key already cached or in flight
+// starts nothing, and the lookup is counted exactly as Do counts it (a hit,
+// or a coalesced join). done, when non-nil, runs on the flight's goroutine
+// once the flight is published — or, failed, removed — so a caller can
+// wait for the cache to settle.
+func (c *Cache[V]) Go(key string, compute func() (V, error), done func()) bool {
+	e, lead := c.join(key)
+	if !lead {
+		return false
+	}
+	go func() {
+		c.run(key, e, compute)
+		if done != nil {
+			done()
+		}
+	}()
+	return true
+}
+
+// join is the lookup half of Do and Go: it returns key's entry, counting a
+// hit (completed) or a coalesced join (in flight), or registers a new
+// in-flight entry, counting a miss, and reports that the caller leads it.
+// The share is classified under the lock, so completion of the flight
+// cannot race the classification.
+func (c *Cache[V]) join(key string) (*entry[V], bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
-		// Classify the share before releasing the lock, so completion of
-		// the flight cannot race the classification: a closed ready
-		// channel is a plain hit, an open one means joining (coalescing
-		// into) a flight.
 		select {
 		case <-e.ready:
 			c.hits.Add(1)
 		default:
 			c.coalesced.Add(1)
 		}
-		c.mu.Unlock()
-		select {
-		case <-e.ready:
-			if e.err != nil {
-				return zero, false, e.err
-			}
-			return e.val, true, nil
-		case <-ctx.Done():
-			return zero, false, ctx.Err()
-		}
+		return e, false
 	}
 	e := &entry[V]{ready: make(chan struct{})}
 	c.entries[key] = e
 	c.misses.Add(1)
-	c.mu.Unlock()
+	return e, true
+}
 
+// run is the compute half of Do and Go: it computes a led flight, then
+// publishes a success (subject to the bound) or removes a failure so a
+// later attempt retries, and wakes the flight's waiters.
+func (c *Cache[V]) run(key string, e *entry[V], compute func() (V, error)) {
 	e.val, e.err = compute()
-
 	c.mu.Lock()
 	if e.err != nil {
 		delete(c.entries, key)
@@ -164,7 +201,6 @@ func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error)
 	}
 	c.mu.Unlock()
 	close(e.ready)
-	return e.val, false, e.err
 }
 
 // Peek returns the completed, successful value for key. Unlike Do it never

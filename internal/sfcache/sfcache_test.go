@@ -144,3 +144,97 @@ func TestHas(t *testing.T) {
 		t.Fatalf("Has moved stats: %+v -> %+v", before, got)
 	}
 }
+
+// TestGoJoinedByDo: Go registers the flight before it returns, so a Do
+// issued right after joins it — one compute, counted as a coalesced join.
+func TestGoJoinedByDo(t *testing.T) {
+	c := New[int](4)
+	release := make(chan struct{})
+	runs := 0
+	done := make(chan struct{})
+	if !c.Go("k", func() (int, error) {
+		<-release
+		runs++
+		return 7, nil
+	}, func() { close(done) }) {
+		t.Fatal("Go on an empty cache started no flight")
+	}
+	joined := make(chan struct{})
+	go func() {
+		defer close(joined)
+		v, shared, err := c.Do(context.Background(), "k", func() (int, error) { return 0, errors.New("must not run") })
+		if err != nil || !shared || v != 7 {
+			t.Errorf("Do after Go: %v %v %v, want 7 shared", v, shared, err)
+		}
+	}()
+	for c.Stats().Coalesced == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-joined
+	<-done
+	if runs != 1 {
+		t.Fatalf("compute ran %d times, want 1", runs)
+	}
+	if st, want := c.Stats(), (Stats{Misses: 1, Coalesced: 1}); st != want {
+		t.Fatalf("Stats() = %+v, want %+v", st, want)
+	}
+	if !c.Has("k") || len(c.Keys()) != 1 {
+		t.Fatalf("flight not published by the time done ran: keys %v", c.Keys())
+	}
+}
+
+// TestGoSkipsCachedOrInFlight: Go on a key already cached or in flight
+// starts no second compute and counts its lookup as Do would — a hit, or a
+// coalesced join.
+func TestGoSkipsCachedOrInFlight(t *testing.T) {
+	c := New[int](4)
+	ctx := context.Background()
+	if _, _, err := c.Do(ctx, "cached", func() (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	mustNotRun := func() (int, error) {
+		t.Error("second compute ran")
+		return 0, nil
+	}
+	if c.Go("cached", mustNotRun, func() { t.Error("done ran for a flight Go did not start") }) {
+		t.Fatal("Go started a flight for a cached key")
+	}
+	if st, want := c.Stats(), (Stats{Misses: 1, Hits: 1}); st != want {
+		t.Fatalf("after Go on a cached key: Stats() = %+v, want %+v", st, want)
+	}
+
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	go c.Do(ctx, "inflight", func() (int, error) {
+		close(entered)
+		<-release
+		return 2, nil
+	})
+	<-entered
+	if c.Go("inflight", mustNotRun, nil) {
+		t.Fatal("Go started a second flight for an in-flight key")
+	}
+	close(release)
+	if st, want := c.Stats(), (Stats{Misses: 2, Hits: 1, Coalesced: 1}); st != want {
+		t.Fatalf("after Go on an in-flight key: Stats() = %+v, want %+v", st, want)
+	}
+}
+
+// TestGoFailedFlightRecomputes: a flight Go started that fails is removed,
+// so a later Do computes afresh instead of replaying the error.
+func TestGoFailedFlightRecomputes(t *testing.T) {
+	c := New[int](4)
+	done := make(chan struct{})
+	if !c.Go("k", func() (int, error) { return 0, errors.New("boom") }, func() { close(done) }) {
+		t.Fatal("Go on an empty cache started no flight")
+	}
+	<-done
+	if c.Has("k") || c.Len() != 0 {
+		t.Fatalf("failed flight left an entry: Len %d", c.Len())
+	}
+	v, shared, err := c.Do(context.Background(), "k", func() (int, error) { return 3, nil })
+	if err != nil || shared || v != 3 {
+		t.Fatalf("Do after a failed flight: %v %v %v, want 3 computed afresh", v, shared, err)
+	}
+}

@@ -238,13 +238,13 @@ func fsyncBuckets() []float64 {
 type Metrics struct {
 	// WALAppends counts durably acknowledged WAL appends (ledger events
 	// and recorded releases).
-	WALAppends uint64
+	WALAppends uint64 `json:"walAppends"`
 	// WALBytes counts bytes appended to the WAL, framing included.
-	WALBytes uint64
+	WALBytes uint64 `json:"walBytes"`
 	// Compactions counts completed snapshot compactions; CompactionErrors
 	// counts compactions that failed (the WAL chain stays recoverable).
-	Compactions      uint64
-	CompactionErrors uint64
+	Compactions      uint64 `json:"compactions"`
+	CompactionErrors uint64 `json:"compactionErrors"`
 }
 
 // Metrics snapshots the store's observability counters.
