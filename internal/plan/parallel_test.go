@@ -230,7 +230,7 @@ func BenchmarkCompileScaling(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			// workers=1 is the sequential baseline: no pool at all, exactly
-			// what -compile-parallelism=1 runs (see Executor.compileWorkers).
+			// what -compile-parallelism=1 runs (see service.Service.compileWorkers).
 			var p *pool.Pool
 			if workers > 1 {
 				p = pool.New(workers)

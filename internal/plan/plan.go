@@ -580,6 +580,18 @@ func (p *Plan) Solves() (h, g uint64) {
 	return p.eff.Solves()
 }
 
+// Primed reports whether the plan holds G_{|P|}, the rung every observed
+// release asks for first. A release on a plan that is not primed solves
+// LPs: the plan is fresh, or Advance built it for a changed generation and
+// carried no rungs. Sampled plans have no ladder and are always primed.
+func (p *Plan) Primed() bool {
+	if p.eff == nil {
+		return true
+	}
+	_, ok := p.eff.Solved(false, p.nP)
+	return ok
+}
+
 // Mode returns the plan's compile tier, ModeExact or ModeSampled.
 func (p *Plan) Mode() string {
 	if p.sampled != nil {

@@ -12,48 +12,46 @@ import (
 	"time"
 )
 
-// accessInfo carries per-request facts from the handlers out to the access
-// logger: which dataset the request touched, the ε involved, and what
-// happened to the privacy budget. It travels down via the request context
-// (the middleware installs it, handlers fill it in) and is read by exactly
-// one goroutine, so the fields need no synchronization.
-type accessInfo struct {
+// reqInfo carries per-request facts through the context to whoever
+// installed it: the dataset the request touched, the ε involved, what
+// happened to the privacy budget, the compile mode that served it, and the
+// ID of the trace it recorded. WithAccessLog installs it for the access
+// log; a traced handler or a job item installs one when its context has
+// none, to read the trace ID back. The facts ride here rather than on
+// Response, whose JSON is the durable release journal's replay payload and
+// must not grow per-request metadata. One goroutine fills and then reads
+// a slot, so the fields need no synchronization.
+type reqInfo struct {
 	dataset string
 	epsilon float64
 	outcome string
-	traceID string
 	mode    string
+	traceID string
 }
 
-type accessInfoKey struct{}
+type reqInfoKey struct{}
+
+// reqInfoOf returns ctx's request-info slot, or nil when none is installed.
+func reqInfoOf(ctx context.Context) *reqInfo {
+	ri, _ := ctx.Value(reqInfoKey{}).(*reqInfo)
+	return ri
+}
+
+// withReqInfo returns ctx's request-info slot, installing an empty one
+// when ctx has none.
+func withReqInfo(ctx context.Context) (context.Context, *reqInfo) {
+	if ri := reqInfoOf(ctx); ri != nil {
+		return ctx, ri
+	}
+	ri := &reqInfo{}
+	return context.WithValue(ctx, reqInfoKey{}, ri), ri
+}
 
 // annotate records request facts for the access log. A no-op when no
 // access-log middleware wraps the handler.
 func annotate(r *http.Request, dataset string, epsilon float64, outcome string) {
-	if ai, ok := r.Context().Value(accessInfoKey{}).(*accessInfo); ok {
-		ai.dataset, ai.epsilon, ai.outcome = dataset, epsilon, outcome
-	}
-}
-
-// annotateMode records the resolved compile mode (exact or sampled) on the
-// access-log line. Called from Service.do with the serving context — which
-// carries the middleware's slot when the request came over HTTP — so the
-// log shows the tier that actually served the query, auto-resolution
-// included. A no-op for embedded callers and the job runner.
-func annotateMode(ctx context.Context, mode string) {
-	if ai, ok := ctx.Value(accessInfoKey{}).(*accessInfo); ok {
-		ai.mode = mode
-	}
-}
-
-// annotateTrace records the trace ID a request produced (if any), so the
-// access-log line joins against GET /v1/traces/{id}.
-func annotateTrace(r *http.Request, traceID string) {
-	if traceID == "" {
-		return
-	}
-	if ai, ok := r.Context().Value(accessInfoKey{}).(*accessInfo); ok {
-		ai.traceID = traceID
+	if ri := reqInfoOf(r.Context()); ri != nil {
+		ri.dataset, ri.epsilon, ri.outcome = dataset, epsilon, outcome
 	}
 }
 
@@ -174,15 +172,15 @@ func sanitize(s string) string {
 }
 
 // WithAccessLog wraps h so every request emits one access-log line after
-// it completes. The wrapper installs the annotation slot the service's
-// handlers fill in (dataset, ε, budget outcome), so it belongs outside
-// NewHandler's handler, closest to the server.
+// it completes. The wrapper installs the request-info slot the service
+// fills in (dataset, ε, budget outcome, mode, trace ID), so it belongs
+// outside NewHandler's handler, closest to the server.
 func WithAccessLog(h http.Handler, l *AccessLogger) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := l.now()
-		ai := &accessInfo{}
+		ctx, ri := withReqInfo(r.Context())
 		rec := &statusRecorder{ResponseWriter: w}
-		h.ServeHTTP(rec, r.WithContext(context.WithValue(r.Context(), accessInfoKey{}, ai)))
+		h.ServeHTTP(rec, r.WithContext(ctx))
 		l.log(AccessEntry{
 			Time:       start.UTC().Format("2006-01-02T15:04:05.000Z07:00"),
 			Method:     r.Method,
@@ -190,11 +188,11 @@ func WithAccessLog(h http.Handler, l *AccessLogger) http.Handler {
 			Status:     rec.statusOr200(),
 			DurationMS: float64(l.now().Sub(start)) / float64(time.Millisecond),
 			Bytes:      rec.bytes,
-			Dataset:    ai.dataset,
-			Epsilon:    ai.epsilon,
-			Outcome:    ai.outcome,
-			Mode:       ai.mode,
-			TraceID:    ai.traceID,
+			Dataset:    ri.dataset,
+			Epsilon:    ri.epsilon,
+			Outcome:    ri.outcome,
+			Mode:       ri.mode,
+			TraceID:    ri.traceID,
 			Remote:     r.RemoteAddr,
 		})
 	})

@@ -25,10 +25,10 @@ func TestBudgetOutcomeClassification(t *testing.T) {
 		{"canceled", false, context.Canceled, "refunded"},
 		{"deadline exceeded", false, context.DeadlineExceeded, "refunded"},
 		{"canceled wrapped", false, fmt.Errorf("execute: %w", context.Canceled), "refunded"},
-		{"bad request", false, &RequestError{Reason: "unknown kind"}, "none"},
-		{"invalid tail", false, &TailError{Tail: -1}, "none"},
-		{"unknown dataset", false, &DatasetError{Name: "nope"}, "none"},
-		{"accuracy disabled", false, &AccuracyDisabledError{}, "none"},
+		{"bad request", false, badRequestf("unknown kind"), "none"},
+		{"invalid tail", false, failf(ErrInvalidTail, "tail parameter must be positive and finite, got %g", -1.0), "none"},
+		{"unknown dataset", false, unknownDataset("nope"), "none"},
+		{"accuracy disabled", false, failf(ErrAccuracyDisabled, "accuracy reporting is not enabled on this server"), "none"},
 		{"untyped failure", false, errors.New("boom"), "none"},
 		// An error wins over the cached flag: a replay that somehow failed
 		// must not log as a successful zero-ε replay.

@@ -127,14 +127,14 @@ type AdviseInfo struct {
 // is an explicit operator decision (see DESIGN.md).
 func (s *Service) Advise(ctx context.Context, req AdviseRequest) (AdviseInfo, error) {
 	if !s.cfg.ExposeAccuracy {
-		return AdviseInfo{}, &AccuracyDisabledError{}
+		return AdviseInfo{}, failf(ErrAccuracyDisabled, "accuracy reporting is not enabled on this server (start recmechd with -expose-accuracy; the bound is data-dependent — see DESIGN.md)")
 	}
 	tail := req.Tail
 	if tail == 0 {
 		tail = DefaultTail
 	}
 	if math.IsNaN(tail) || math.IsInf(tail, 0) || tail <= 0 {
-		return AdviseInfo{}, &TailError{Tail: tail}
+		return AdviseInfo{}, failf(ErrInvalidTail, "tail parameter must be positive and finite, got %g", tail)
 	}
 	if t := req.TargetError; math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
 		return AdviseInfo{}, badRequestf("targetError must be positive and finite, got %g", t)

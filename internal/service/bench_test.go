@@ -109,7 +109,7 @@ func BenchmarkPreparedRelease(b *testing.B) {
 			b.Fatal("prepared release unexpectedly replayed")
 		}
 	}
-	reportHitRatio(b, "plan_hit_ratio", svc.exec.plans.Stats())
+	reportHitRatio(b, "plan_hit_ratio", svc.plans.Stats())
 }
 
 // reportHitRatio attaches a cache's shared-answer ratio to the benchmark

@@ -156,7 +156,7 @@ func (a *Accountant) Reserve(dataset string, epsilon float64) (*Reservation, err
 	defer a.mu.Unlock()
 	l, ok := a.ledgers[dataset]
 	if !ok {
-		return nil, &DatasetError{Name: dataset}
+		return nil, unknownDataset(dataset)
 	}
 	if epsilon > l.remaining()+budgetSlack {
 		a.nRejected.Add(1)
@@ -211,7 +211,7 @@ func (a *Accountant) ReserveMany(items []ReserveItem) ([]*Reservation, error) {
 	for _, it := range items {
 		l, ok := a.ledgers[it.Dataset]
 		if !ok {
-			return nil, &DatasetError{Name: it.Dataset}
+			return nil, unknownDataset(it.Dataset)
 		}
 		asked[it.Dataset] += it.Epsilon
 		if asked[it.Dataset] > l.remaining()+budgetSlack {

@@ -203,24 +203,24 @@ func (s *Service) rewarmPlans(old, cur *Dataset, d plan.Delta) int {
 	newPrefix := currentKeyPrefix(cur)
 	src := plan.Source{Graph: cur.Graph}
 	n := 0
-	for _, k := range s.exec.plans.Keys() {
+	for _, k := range s.plans.Keys() {
 		if n >= maxRewarmPlans {
 			break
 		}
 		if !strings.HasPrefix(k, oldPrefix) {
 			continue
 		}
-		pl, ok := s.exec.plans.Peek(k)
+		pl, ok := s.plans.Peek(k)
 		if !ok || pl == nil || pl.Spec() == nil {
 			continue
 		}
 		s.rewarmWG.Add(1)
-		started := s.exec.plans.Go(newPrefix+k[len(oldPrefix):], func() (*plan.Plan, error) {
-			np, prof, err := pl.Advance(context.Background(), src, d, s.exec.compileWorkers())
+		started := s.plans.Go(newPrefix+k[len(oldPrefix):], func() (*plan.Plan, error) {
+			np, prof, err := pl.Advance(context.Background(), src, d, s.compileWorkers())
 			if err == nil && prof.Fallback {
 				// A fallback recompile is a fresh compile in all but
 				// name; record it where fresh compiles are recorded.
-				s.exec.compiles.note(np.Profile())
+				s.compiles.note(np.Profile())
 			}
 			return np, err
 		}, s.rewarmWG.Done)
@@ -256,7 +256,7 @@ func (s *Service) purgeStale(name, keepPrefix string) int {
 		}
 		return keepPrefix == "" || !strings.HasPrefix(key, keepPrefix)
 	}
-	return s.cache.RemoveFunc(pred) + s.exec.plans.RemoveFunc(pred)
+	return s.cache.RemoveFunc(pred) + s.plans.RemoveFunc(pred)
 }
 
 // appendRows joins existing table text with appended row lines, normalizing

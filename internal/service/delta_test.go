@@ -142,22 +142,22 @@ func TestAppendRewarmPublishesNewGeneration(t *testing.T) {
 	if _, err := s.Query(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.exec.plans.Keys()) != 1 || len(s.cache.Keys()) != 1 {
-		t.Fatalf("precondition: plans=%v releases=%v", s.exec.plans.Keys(), s.cache.Keys())
+	if len(s.plans.Keys()) != 1 || len(s.cache.Keys()) != 1 {
+		t.Fatalf("precondition: plans=%v releases=%v", s.plans.Keys(), s.cache.Keys())
 	}
-	oldPlanKey := s.exec.plans.Keys()[0]
+	oldPlanKey := s.plans.Keys()[0]
 
 	if _, err := s.AppendDataset("g", AppendRequest{Edges: "1 18\n"}); err != nil {
 		t.Fatal(err)
 	}
 	s.rewarmWG.Wait()
-	if s.exec.plans.Has(oldPlanKey) {
+	if s.plans.Has(oldPlanKey) {
 		t.Fatalf("old-generation plan key %q survived the append", oldPlanKey)
 	}
 	if len(s.cache.Keys()) != 0 {
 		t.Fatalf("old-generation release entries survived: %v", s.cache.Keys())
 	}
-	keys := s.exec.plans.Keys()
+	keys := s.plans.Keys()
 	if len(keys) != 1 || !strings.HasPrefix(keys[0], "g#2|") {
 		t.Fatalf("re-warmed plan keys %v, want exactly one under g#2|", keys)
 	}
@@ -217,6 +217,68 @@ func TestPostAppendQueriesJoinRewarm(t *testing.T) {
 	}
 }
 
+// TestLadderSolvingReleasesTraced pins the trace policy on the path where
+// a completed plan still solves LPs: a plan Plan.Advance built for a
+// changed generation holds no solved rungs, so its first release walks the
+// whole ladder and must be traced like a compile. Any query whose plan
+// solved LPs records exactly one trace.
+func TestLadderSolvingReleasesTraced(t *testing.T) {
+	s := New(Config{DatasetBudget: 1000, Workers: 1, Seed: 1})
+	defer s.rewarmWG.Wait()
+	g := graph.RandomAverageDegree(noise.NewRand(3), 14, 4)
+	if err := s.AddGraph("g", g); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	battery := []Request{
+		{Dataset: "g", Kind: KindTriangles, Epsilon: 0.5},
+		{Dataset: "g", Kind: KindTriangles, Privacy: "edge", Epsilon: 0.5},
+		{Dataset: "g", Kind: KindKTriangles, K: 2, Epsilon: 0.5},
+	}
+	solves := func(pk string) uint64 {
+		pl, ok := s.plans.Peek(pk)
+		if !ok {
+			return 0
+		}
+		h, g := pl.Solves()
+		return h + g
+	}
+	ask := func() {
+		t.Helper()
+		for _, req := range battery {
+			r := req
+			if err := r.normalize(s.cfg); err != nil {
+				t.Fatal(err)
+			}
+			ds, err := s.reg.Get(r.Dataset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.resolveMode(ds, s.cfg)
+			pk, err := r.ensurePlanKey(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, traces := solves(pk), s.tr.TracerStats().Finished
+			if _, err := s.Query(ctx, req); err != nil {
+				t.Fatalf("%s: %v", pk, err)
+			}
+			solved, traced := solves(pk)-before, s.tr.TracerStats().Finished-traces
+			if solved > 0 && traced != 1 {
+				t.Fatalf("%s: release solved %d LPs and recorded %d traces", pk, solved, traced)
+			}
+		}
+	}
+	ask()
+	for _, edge := range freshEdges(g, 3) {
+		if _, err := s.AppendDataset("g", AppendRequest{Edges: edge}); err != nil {
+			t.Fatal(err)
+		}
+		s.rewarmWG.Wait()
+		ask()
+	}
+}
+
 // TestReuploadAndDeletePurgeStaleEntries pins satellite 1: re-registering a
 // dataset purges the cached releases and plans of its unreachable
 // generations eagerly, and deleting it purges every generation — while a
@@ -258,9 +320,9 @@ func TestReuploadAndDeletePurgeStaleEntries(t *testing.T) {
 	if n := countFor(s.cache.Keys(), "g#1|"); n != 0 {
 		t.Fatalf("re-upload left %d stale release entries: %v", n, s.cache.Keys())
 	}
-	if countFor(s.cache.Keys(), "g2#") != 1 || countFor(s.exec.plans.Keys(), "g2#") != 1 {
+	if countFor(s.cache.Keys(), "g2#") != 1 || countFor(s.plans.Keys(), "g2#") != 1 {
 		t.Fatalf("purge leaked into prefix-sharing dataset g2: releases=%v plans=%v",
-			s.cache.Keys(), s.exec.plans.Keys())
+			s.cache.Keys(), s.plans.Keys())
 	}
 
 	// Delete g: every remaining g entry must go.
@@ -270,9 +332,9 @@ func TestReuploadAndDeletePurgeStaleEntries(t *testing.T) {
 	if err := s.DeleteDataset("g"); err != nil {
 		t.Fatal(err)
 	}
-	if n := countFor(s.cache.Keys(), "g#") + countFor(s.exec.plans.Keys(), "g#"); n != 0 {
+	if n := countFor(s.cache.Keys(), "g#") + countFor(s.plans.Keys(), "g#"); n != 0 {
 		t.Fatalf("delete left %d cached entries: releases=%v plans=%v",
-			n, s.cache.Keys(), s.exec.plans.Keys())
+			n, s.cache.Keys(), s.plans.Keys())
 	}
 	if countFor(s.cache.Keys(), "g2#") != 1 {
 		t.Fatalf("delete of g purged g2's entries: %v", s.cache.Keys())

@@ -18,8 +18,8 @@ import (
 )
 
 // Sentinel errors for errors.Is checks across the package boundary. The
-// concrete errors carry more context (see BudgetError, DatasetError,
-// RequestError) but always match the corresponding sentinel.
+// concrete errors (*Error and *BudgetError) carry more context but always
+// match their sentinel.
 var (
 	// ErrBudgetExhausted rejects a query whose ε cannot be reserved from
 	// the dataset's remaining privacy budget. No budget is spent by a
@@ -78,141 +78,35 @@ func (e *BudgetError) Error() string {
 // Is makes errors.Is(err, ErrBudgetExhausted) succeed.
 func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExhausted }
 
-// DatasetError identifies a missing dataset. errors.Is(err,
-// ErrUnknownDataset) is true.
-type DatasetError struct {
-	Name string
+// Error is every typed failure but an exhausted budget: its sentinel names
+// the kind, and its reason is the message after "service: ". Under
+// errors.Is it matches its sentinel; ErrInvalidTail and ErrInvalidMode
+// failures also match ErrBadRequest, being malformed requests like any
+// other. writeError maps the sentinel to an HTTP status and code.
+type Error struct {
+	sentinel error
+	reason   string
 }
 
-func (e *DatasetError) Error() string {
-	return fmt.Sprintf("service: unknown dataset %q", e.Name)
+func (e *Error) Error() string { return "service: " + e.reason }
+
+// Is makes errors.Is succeed for the sentinel (and ErrBadRequest, see Error).
+func (e *Error) Is(target error) bool {
+	return target == e.sentinel ||
+		target == ErrBadRequest && (e.sentinel == ErrInvalidTail || e.sentinel == ErrInvalidMode)
 }
 
-// Is makes errors.Is(err, ErrUnknownDataset) succeed.
-func (e *DatasetError) Is(target error) bool { return target == ErrUnknownDataset }
-
-// RequestError reports an invalid request. errors.Is(err, ErrBadRequest) is
-// true.
-type RequestError struct {
-	Reason string
+// failf returns an *Error of the sentinel's kind with a formatted reason.
+func failf(sentinel error, format string, args ...any) error {
+	return &Error{sentinel: sentinel, reason: fmt.Sprintf(format, args...)}
 }
 
-func (e *RequestError) Error() string { return "service: bad request: " + e.Reason }
-
-// Is makes errors.Is(err, ErrBadRequest) succeed.
-func (e *RequestError) Is(target error) bool { return target == ErrBadRequest }
+func unknownDataset(name string) error { return failf(ErrUnknownDataset, "unknown dataset %q", name) }
 
 func badRequestf(format string, args ...any) error {
-	return &RequestError{Reason: fmt.Sprintf(format, args...)}
-}
-
-// JobError identifies a missing job. errors.Is(err, ErrUnknownJob) is true.
-type JobError struct {
-	ID string
-}
-
-func (e *JobError) Error() string {
-	return fmt.Sprintf("service: unknown job %q", e.ID)
-}
-
-// Is makes errors.Is(err, ErrUnknownJob) succeed.
-func (e *JobError) Is(target error) bool { return target == ErrUnknownJob }
-
-// JobFinishedError rejects cancellation of a terminal job. errors.Is(err,
-// ErrJobFinished) is true.
-type JobFinishedError struct {
-	ID    string
-	State string
-}
-
-func (e *JobFinishedError) Error() string {
-	return fmt.Sprintf("service: job %q already finished (%s)", e.ID, e.State)
-}
-
-// Is makes errors.Is(err, ErrJobFinished) succeed.
-func (e *JobFinishedError) Is(target error) bool { return target == ErrJobFinished }
-
-// JobsBusyError rejects a submission while the job table is saturated with
-// active jobs. errors.Is(err, ErrJobsBusy) is true.
-type JobsBusyError struct {
-	Active int // jobs currently queued or running
-	Limit  int // the configured ceiling (Config.MaxJobs)
-}
-
-func (e *JobsBusyError) Error() string {
-	return fmt.Sprintf("service: %d jobs active (limit %d); retry when some finish", e.Active, e.Limit)
-}
-
-// Is makes errors.Is(err, ErrJobsBusy) succeed.
-func (e *JobsBusyError) Is(target error) bool { return target == ErrJobsBusy }
-
-// TraceError identifies a missing trace. errors.Is(err, ErrUnknownTrace) is
-// true.
-type TraceError struct {
-	ID string
-}
-
-func (e *TraceError) Error() string {
-	return fmt.Sprintf("service: unknown trace %q", e.ID)
-}
-
-// Is makes errors.Is(err, ErrUnknownTrace) succeed.
-func (e *TraceError) Is(target error) bool { return target == ErrUnknownTrace }
-
-// TailError rejects an out-of-range tail parameter. It matches both
-// ErrInvalidTail (for the typed 400 code "invalid_tail") and ErrBadRequest
-// (it is a malformed request like any other).
-type TailError struct {
-	Tail float64
-}
-
-func (e *TailError) Error() string {
-	return fmt.Sprintf("service: tail parameter must be positive and finite, got %g", e.Tail)
-}
-
-// Is makes errors.Is succeed for both ErrInvalidTail and ErrBadRequest.
-func (e *TailError) Is(target error) bool {
-	return target == ErrInvalidTail || target == ErrBadRequest
-}
-
-// ModeError rejects an invalid compile-mode selection. Like TailError it
-// matches both its specific sentinel (ErrInvalidMode, for the typed 400
-// code "invalid_mode") and ErrBadRequest.
-type ModeError struct {
-	Reason string
-}
-
-func (e *ModeError) Error() string { return "service: invalid compile mode: " + e.Reason }
-
-// Is makes errors.Is succeed for both ErrInvalidMode and ErrBadRequest.
-func (e *ModeError) Is(target error) bool {
-	return target == ErrInvalidMode || target == ErrBadRequest
+	return failf(ErrBadRequest, "bad request: "+format, args...)
 }
 
 func modeErrorf(format string, args ...any) error {
-	return &ModeError{Reason: fmt.Sprintf(format, args...)}
+	return failf(ErrInvalidMode, "invalid compile mode: "+format, args...)
 }
-
-// AccuracyDisabledError rejects tenant-facing accuracy requests on a server
-// without the opt-in. errors.Is(err, ErrAccuracyDisabled) is true.
-type AccuracyDisabledError struct{}
-
-func (e *AccuracyDisabledError) Error() string {
-	return "service: accuracy reporting is not enabled on this server (start recmechd with -expose-accuracy; the bound is data-dependent — see DESIGN.md)"
-}
-
-// Is makes errors.Is(err, ErrAccuracyDisabled) succeed.
-func (e *AccuracyDisabledError) Is(target error) bool { return target == ErrAccuracyDisabled }
-
-// TooLargeError rejects an oversized request body. errors.Is(err,
-// ErrRequestTooLarge) is true.
-type TooLargeError struct {
-	Limit int64 // bytes accepted
-}
-
-func (e *TooLargeError) Error() string {
-	return fmt.Sprintf("service: request body exceeds the %d-byte limit", e.Limit)
-}
-
-// Is makes errors.Is(err, ErrRequestTooLarge) succeed.
-func (e *TooLargeError) Is(target error) bool { return target == ErrRequestTooLarge }

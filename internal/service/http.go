@@ -90,16 +90,7 @@ func NewHandler(s *Service) http.Handler {
 			writeError(w, err)
 			return
 		}
-		ctx, tid := withTraceSlot(r.Context())
-		resp, err := s.Query(ctx, req)
-		// The trace ID travels in a response header, not the Response body:
-		// that JSON is the durable release journal's replay payload, and a
-		// per-request ID inside it would be replayed as stale metadata. Set
-		// before writeJSON/writeError so it reaches error responses too.
-		if tid.id != "" {
-			w.Header().Set("X-Recmech-Trace-Id", tid.id)
-			annotateTrace(r, tid.id)
-		}
+		resp, err := traced(w, r, s.Query, req)
 		if err != nil {
 			// Query normalizes a by-value copy, so a defaulted ε is not
 			// reflected in req — substitute it here, or a rejected
@@ -124,12 +115,7 @@ func NewHandler(s *Service) http.Handler {
 			writeError(w, err)
 			return
 		}
-		ctx, tid := withTraceSlot(r.Context())
-		info, err := s.Prepare(ctx, req)
-		if tid.id != "" {
-			w.Header().Set("X-Recmech-Trace-Id", tid.id)
-			annotateTrace(r, tid.id)
-		}
+		info, err := traced(w, r, s.Prepare, req)
 		if err != nil {
 			annotate(r, canonName(req.Dataset), 0, "none")
 			writeError(w, err)
@@ -144,12 +130,7 @@ func NewHandler(s *Service) http.Handler {
 			writeError(w, err)
 			return
 		}
-		ctx, tid := withTraceSlot(r.Context())
-		info, err := s.Advise(ctx, req)
-		if tid.id != "" {
-			w.Header().Set("X-Recmech-Trace-Id", tid.id)
-			annotateTrace(r, tid.id)
-		}
+		info, err := traced(w, r, s.Advise, req)
 		if err != nil {
 			annotate(r, canonName(req.Dataset), 0, "none")
 			writeError(w, err)
@@ -297,6 +278,22 @@ func NewHandler(s *Service) http.Handler {
 	})
 }
 
+// traced runs a query, prepare or advise call with a request-info slot on
+// its context — the access log's, or a fresh one — and names the trace the
+// call recorded, if any, in the X-Recmech-Trace-Id header. The ID travels
+// in a header, not the body: a Response's JSON is the durable release
+// journal's replay payload, and a per-request ID inside it would replay as
+// stale metadata. The header is set before any body is written, so error
+// responses carry it too.
+func traced[Req, Resp any](w http.ResponseWriter, r *http.Request, call func(context.Context, Req) (Resp, error), req Req) (Resp, error) {
+	ctx, ri := withReqInfo(r.Context())
+	resp, err := call(ctx, req)
+	if ri.traceID != "" {
+		w.Header().Set("X-Recmech-Trace-Id", ri.traceID)
+	}
+	return resp, err
+}
+
 // decodeJSON decodes a strict-JSON body bounded by limit. Exceeding the
 // limit aborts the read mid-stream and surfaces as a typed 413 rather than
 // a generic decode failure, so clients can tell "shrink the upload" apart
@@ -307,7 +304,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) erro
 	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			return &TooLargeError{Limit: mbe.Limit}
+			return failf(ErrRequestTooLarge, "request body exceeds the %d-byte limit", mbe.Limit)
 		}
 		return badRequestf("invalid JSON body: %v", err)
 	}
@@ -326,54 +323,42 @@ type errorDetail struct {
 	Remaining *float64 `json:"remaining,omitempty"`
 }
 
+// wireFailures maps each failure sentinel to its HTTP status and wire code,
+// in match order: the first sentinel errors.Is finds wins, so invalid_tail
+// and invalid_mode (whose errors also match ErrBadRequest) come before
+// bad_request. An error matching none is a 500 "internal".
+var wireFailures = []struct {
+	sentinel error
+	status   int
+	code     string
+}{
+	{ErrBudgetExhausted, http.StatusTooManyRequests, "budget_exhausted"},
+	{ErrUnknownDataset, http.StatusNotFound, "unknown_dataset"},
+	{ErrUnknownJob, http.StatusNotFound, "unknown_job"},
+	{ErrUnknownTrace, http.StatusNotFound, "unknown_trace"},
+	{ErrJobFinished, http.StatusConflict, "job_finished"},
+	{ErrJobsBusy, http.StatusTooManyRequests, "too_many_jobs"},
+	{ErrRequestTooLarge, http.StatusRequestEntityTooLarge, "request_too_large"},
+	{ErrInvalidTail, http.StatusBadRequest, "invalid_tail"},
+	{ErrInvalidMode, http.StatusBadRequest, "invalid_mode"},
+	{ErrAccuracyDisabled, http.StatusForbidden, "accuracy_disabled"},
+	{ErrBadRequest, http.StatusBadRequest, "bad_request"},
+	{context.Canceled, StatusClientClosedRequest, "canceled"},
+	{context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline_exceeded"},
+}
+
 func writeError(w http.ResponseWriter, err error) {
 	detail := errorDetail{Code: "internal", Message: err.Error()}
 	status := http.StatusInternalServerError
+	for _, f := range wireFailures {
+		if errors.Is(err, f.sentinel) {
+			status, detail.Code = f.status, f.code
+			break
+		}
+	}
 	var be *BudgetError
-	switch {
-	case errors.As(err, &be):
-		status = http.StatusTooManyRequests
-		detail.Code = "budget_exhausted"
-		rem := be.Remaining
-		detail.Remaining = &rem
-	case errors.Is(err, ErrUnknownDataset):
-		status = http.StatusNotFound
-		detail.Code = "unknown_dataset"
-	case errors.Is(err, ErrUnknownJob):
-		status = http.StatusNotFound
-		detail.Code = "unknown_job"
-	case errors.Is(err, ErrUnknownTrace):
-		status = http.StatusNotFound
-		detail.Code = "unknown_trace"
-	case errors.Is(err, ErrJobFinished):
-		status = http.StatusConflict
-		detail.Code = "job_finished"
-	case errors.Is(err, ErrJobsBusy):
-		status = http.StatusTooManyRequests
-		detail.Code = "too_many_jobs"
-	case errors.Is(err, ErrRequestTooLarge):
-		status = http.StatusRequestEntityTooLarge
-		detail.Code = "request_too_large"
-	// invalid_tail and invalid_mode before bad_request: TailError and
-	// ModeError match both sentinels, and the more specific code wins.
-	case errors.Is(err, ErrInvalidTail):
-		status = http.StatusBadRequest
-		detail.Code = "invalid_tail"
-	case errors.Is(err, ErrInvalidMode):
-		status = http.StatusBadRequest
-		detail.Code = "invalid_mode"
-	case errors.Is(err, ErrAccuracyDisabled):
-		status = http.StatusForbidden
-		detail.Code = "accuracy_disabled"
-	case errors.Is(err, ErrBadRequest):
-		status = http.StatusBadRequest
-		detail.Code = "bad_request"
-	case errors.Is(err, context.Canceled):
-		status = StatusClientClosedRequest
-		detail.Code = "canceled"
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-		detail.Code = "deadline_exceeded"
+	if errors.As(err, &be) {
+		detail.Remaining = &be.Remaining
 	}
 	writeJSON(w, status, errorBody{Error: detail})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -133,14 +134,14 @@ func newJobTable(max int) *jobTable {
 
 // add registers a new queued job and evicts the oldest finished jobs beyond
 // the retention bound. Active (non-terminal) jobs are never evicted;
-// instead admission fails with a *JobsBusyError once max jobs are active —
+// instead admission fails with ErrJobsBusy once max jobs are active —
 // every queued job holds a goroutine and its batch's ε reservations, so an
 // unbounded backlog would let one client exhaust memory through 202s.
 func (t *jobTable) add(items []*jobItem) (*job, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.active >= t.max {
-		return nil, &JobsBusyError{Active: t.active, Limit: t.max}
+		return nil, failf(ErrJobsBusy, "%d jobs active (limit %d); retry when some finish", t.active, t.max)
 	}
 	t.active++
 	t.seq++
@@ -291,11 +292,11 @@ func (s *Service) runJob(ctx context.Context, j *job) {
 		// runs detached from any HTTP request, so the per-item trace ID in
 		// the job snapshot is the only after-the-fact handle on what each
 		// item actually did.
-		ictx, tid := withTraceSlot(ctx)
+		ictx, ri := withReqInfo(ctx)
 		resp, err := s.do(ictx, &req, resv, true)
 
 		j.mu.Lock()
-		it.traceID = tid.id
+		it.traceID = ri.traceID
 		switch {
 		case err == nil:
 			it.state = ItemStateDone
@@ -335,13 +336,9 @@ func (s *Service) runJob(ctx context.Context, j *job) {
 // itemError prefixes a per-item validation failure with the item's index,
 // preserving the typed error class (400 stays 400, 404 stays 404).
 func itemError(i int, err error) error {
-	var re *RequestError
-	if errors.As(err, &re) {
-		return &RequestError{Reason: fmt.Sprintf("query[%d]: %s", i, re.Reason)}
-	}
-	var de *DatasetError
-	if errors.As(err, &de) {
-		return de
+	var e *Error
+	if errors.As(err, &e) && e.sentinel == ErrBadRequest {
+		return badRequestf("query[%d]: %s", i, strings.TrimPrefix(e.reason, "bad request: "))
 	}
 	return err
 }
@@ -350,7 +347,7 @@ func itemError(i int, err error) error {
 func (s *Service) JobStatus(id string) (JobInfo, error) {
 	j, ok := s.jobs.get(id)
 	if !ok {
-		return JobInfo{}, &JobError{ID: id}
+		return JobInfo{}, failf(ErrUnknownJob, "unknown job %q", id)
 	}
 	return j.snapshot(), nil
 }
@@ -374,14 +371,14 @@ func (s *Service) Jobs() []JobInfo {
 func (s *Service) CancelJob(id string) (JobInfo, error) {
 	j, ok := s.jobs.get(id)
 	if !ok {
-		return JobInfo{}, &JobError{ID: id}
+		return JobInfo{}, failf(ErrUnknownJob, "unknown job %q", id)
 	}
 	j.mu.Lock()
 	switch j.state {
 	case JobStateDone, JobStateFailed, JobStateCanceled:
 		state := j.state
 		j.mu.Unlock()
-		return JobInfo{}, &JobFinishedError{ID: id, State: state}
+		return JobInfo{}, failf(ErrJobFinished, "job %q already finished (%s)", id, state)
 	}
 	j.state = JobStateCanceled
 	for _, it := range j.items {
@@ -411,7 +408,7 @@ func (s *Service) CancelJob(id string) (JobInfo, error) {
 func (s *Service) WaitJob(ctx context.Context, id string) (JobInfo, error) {
 	j, ok := s.jobs.get(id)
 	if !ok {
-		return JobInfo{}, &JobError{ID: id}
+		return JobInfo{}, failf(ErrUnknownJob, "unknown job %q", id)
 	}
 	select {
 	case <-j.done:

@@ -188,7 +188,7 @@ func TestJobActiveCap(t *testing.T) {
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	var once sync.Once
-	svc.exec.testHookRunning = func() {
+	svc.testHookRunning = func() {
 		once.Do(func() {
 			close(started)
 			<-gate
@@ -237,7 +237,7 @@ func TestJobCancelRefundsUnstarted(t *testing.T) {
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	var once sync.Once
-	svc.exec.testHookRunning = func() {
+	svc.testHookRunning = func() {
 		once.Do(func() {
 			close(started)
 			<-gate
@@ -466,7 +466,7 @@ func TestQueryCancelWhileQueuedRefunds(t *testing.T) {
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	var once sync.Once
-	svc.exec.testHookRunning = func() {
+	svc.testHookRunning = func() {
 		once.Do(func() {
 			close(started)
 			<-gate
@@ -526,7 +526,7 @@ func TestWaiterSurvivesLeaderCancellation(t *testing.T) {
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	var once sync.Once
-	svc.exec.testHookRunning = func() {
+	svc.testHookRunning = func() {
 		once.Do(func() {
 			close(started)
 			<-gate

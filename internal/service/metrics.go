@@ -206,16 +206,16 @@ func (m *serviceMetrics) bind(s *Service) {
 	reg.GaugeFunc("recmech_datasets", "Registered datasets",
 		func() float64 { return float64(len(s.reg.List())) })
 	reg.GaugeFunc("recmech_workers", "Size of the executor worker pool",
-		func() float64 { return float64(cap(s.exec.slots)) })
+		func() float64 { return float64(cap(s.slots)) })
 	reg.GaugeFunc("recmech_workers_busy", "Worker slots currently executing or preparing a query",
-		func() float64 { return float64(cap(s.exec.slots) - len(s.exec.slots)) })
+		func() float64 { return float64(cap(s.slots) - len(s.slots)) })
 	reg.GaugeFunc("recmech_jobs_active", "Jobs currently queued or running",
 		func() float64 { return float64(s.jobs.activeCount()) })
 
 	// The shared compile pool: every fresh compile's enumeration shards and
 	// ladder probe waves borrow workers here, so pool pressure is the
 	// leading indicator that fresh-query latency is about to stop scaling.
-	pl := s.exec.CompilePool()
+	pl := s.compilePool
 	reg.GaugeFunc("recmech_compile_pool_workers", "Size of the shared compile pool (-compile-parallelism)",
 		func() float64 { return float64(pl.Size()) })
 	reg.GaugeFunc("recmech_compile_pool_busy", "Compile-pool workers currently borrowed by fan-outs",
@@ -266,7 +266,7 @@ func (m *serviceMetrics) bind(s *Service) {
 	caches := func() map[string]*sfcacheStats {
 		return map[string]*sfcacheStats{
 			"release": {len: s.cache.Len, stats: s.cache.Stats},
-			"plan":    {len: s.exec.plans.Len, stats: s.exec.plans.Stats},
+			"plan":    {len: s.plans.Len, stats: s.plans.Stats},
 		}
 	}
 	reg.SampleFunc("recmech_cache_events_total",
@@ -778,11 +778,11 @@ func (s *Service) Stats() ServiceStats {
 		},
 		Caches: map[string]CacheStats{
 			"release": cacheStats(s.cache.Len(), s.cache.Stats()),
-			"plan":    cacheStats(s.exec.plans.Len(), s.exec.plans.Stats()),
+			"plan":    cacheStats(s.plans.Len(), s.plans.Stats()),
 		},
-		Workers:     WorkerStats{Total: cap(s.exec.slots), Busy: cap(s.exec.slots) - len(s.exec.slots)},
-		CompilePool: s.exec.CompilePool().Stats(),
-		Compiles:    s.exec.CompileStats(),
+		Workers:     WorkerStats{Total: cap(s.slots), Busy: cap(s.slots) - len(s.slots)},
+		CompilePool: s.compilePool.Stats(),
+		Compiles:    s.compiles.stats(),
 		Traces:      s.tr.TracerStats(),
 		LP:          lp.ReadCounters(),
 	}
@@ -866,7 +866,7 @@ type DatasetStats struct {
 }
 
 // DatasetStats snapshots one dataset's query counters and ε spend rate,
-// failing with a *DatasetError (404) for an unregistered dataset.
+// failing with ErrUnknownDataset (404) for an unregistered dataset.
 func (s *Service) DatasetStats(name string) (DatasetStats, error) {
 	ds, err := s.reg.Get(name)
 	if err != nil {

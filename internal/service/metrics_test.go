@@ -114,7 +114,7 @@ func TestMetricsCountersMoveUnderMixedWorkload(t *testing.T) {
 
 	got := scrapeMetrics(t, ts)
 	positive := []string{
-		// Executor: all three sources and their latency histograms.
+		// Queries: all three sources and their latency histograms.
 		`recmech_queries_total{source="fresh"}`,
 		`recmech_queries_total{source="plan_hit"}`,
 		`recmech_queries_total{source="replay"}`,

@@ -139,14 +139,14 @@ func (r *Registry) Delete(name string) bool {
 	return ok
 }
 
-// Get returns the current snapshot of a dataset, or a *DatasetError
-// (matching ErrUnknownDataset).
+// Get returns the current snapshot of a dataset, or an error matching
+// ErrUnknownDataset.
 func (r *Registry) Get(name string) (*Dataset, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	d, ok := r.sets[canonName(name)]
 	if !ok {
-		return nil, &DatasetError{Name: name}
+		return nil, unknownDataset(name)
 	}
 	return d, nil
 }

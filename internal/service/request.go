@@ -96,7 +96,7 @@ type Response struct {
 
 // normalize validates the request in place, lowercasing the enum-ish fields,
 // substituting defaults, and compiling the workload spec (which parses SQL
-// exactly once). All failures are RequestErrors.
+// exactly once). All failures match ErrBadRequest.
 func (r *Request) normalize(cfg Config) error {
 	r.Dataset = canonName(r.Dataset)
 	r.Kind = strings.ToLower(strings.TrimSpace(r.Kind))
@@ -198,7 +198,7 @@ func (r *Request) resolveMode(ds *Dataset, cfg Config) {
 func asRequestError(err error) error {
 	var se *plan.SpecError
 	if errors.As(err, &se) {
-		return &RequestError{Reason: se.Reason}
+		return badRequestf("%s", se.Reason)
 	}
 	return err
 }

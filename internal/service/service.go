@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -13,7 +14,9 @@ import (
 	"recmech/internal/boolexpr"
 	"recmech/internal/estimate"
 	"recmech/internal/graph"
+	"recmech/internal/noise"
 	"recmech/internal/plan"
+	"recmech/internal/pool"
 	"recmech/internal/query"
 	"recmech/internal/store"
 	"recmech/internal/trace"
@@ -162,11 +165,37 @@ type Service struct {
 	reg   *Registry
 	acct  *Accountant
 	cache *ReleaseCache
-	exec  *Executor
 	jobs  *jobTable
 	met   *serviceMetrics
 	tr    *trace.Tracer
 	store *store.Store // nil for a purely in-memory service
+
+	// slots is both the admission semaphore and the RNG supply: at most
+	// Workers queries compile or release at once and the rest queue, which
+	// keeps tail latency bounded. Worker i's stream is seeded once
+	// (Seed+i) at construction and consumed sequentially by whichever
+	// queries hold that slot: seeding a math/rand source costs tens of
+	// microseconds — dominant next to a plan-cached release — so streams
+	// live as long as the service.
+	slots chan *rand.Rand
+	// plans caches each request's compiled plan (parse, canonicalize,
+	// derive the sensitive K-relation, build the LP encoding) keyed on the
+	// dataset snapshot and the canonical workload, so repeated releases of
+	// the same query — at any ε — skip straight to the noise draws.
+	plans *plan.Cache
+	// compilePool is the one compute pool behind every fresh compile and
+	// ladder solve: enumeration shards and H/G probe waves from all
+	// concurrent queries borrow workers from it, so total compile
+	// concurrency is bounded by its size (plus one caller goroutine per
+	// in-flight query) instead of growing N·cores under N queries.
+	compilePool *pool.Pool
+	// compiles aggregates the profiles of fresh plan compiles, for
+	// GET /v1/stats.
+	compiles compileRecord
+	// testHookRunning, when set, is called after admission (worker slot
+	// held) and before the plan runs — test-only, to make occupancy and
+	// cancellation windows deterministic.
+	testHookRunning func()
 
 	// adminMu serializes dataset mutations (upload/append/delete) so the
 	// durable store and the in-memory registry can never diverge: without it
@@ -189,12 +218,18 @@ func New(cfg Config) *Service {
 		reg:   NewRegistry(),
 		acct:  NewAccountant(),
 		cache: NewReleaseCache(releaseCacheEntries),
-		exec:  NewExecutor(cfg.Workers, cfg.PlanEntries, cfg.CompileParallelism, cfg.Seed),
 		jobs:  newJobTable(cfg.MaxJobs),
 		met:   newServiceMetrics(cfg.SpendRateWindow),
 		tr:    trace.New(trace.Options{SampleEvery: cfg.TraceSampleEvery, Ring: cfg.TraceRingEntries}),
+		slots: make(chan *rand.Rand, cfg.Workers),
+		plans: plan.NewCache(cfg.PlanEntries),
+		// Pool workers beyond the scheduler's parallelism could only
+		// time-slice, which buys overhead and no overlap.
+		compilePool: pool.New(min(cfg.CompileParallelism, runtime.GOMAXPROCS(0))),
 	}
-	s.exec.met = s.met
+	for i := range cfg.Workers {
+		s.slots <- noise.NewRand(cfg.Seed + int64(i))
+	}
 	s.met.bind(s)
 	return s
 }
@@ -409,7 +444,7 @@ func (s *Service) DeleteDataset(name string) error {
 		}
 	}
 	if !s.reg.Delete(name) && !storeHad {
-		return &DatasetError{Name: name}
+		return unknownDataset(name)
 	}
 	// Cached releases and plans of every generation are unreachable now —
 	// their keys carry a generation a re-created dataset can never reuse —
@@ -447,7 +482,7 @@ func (s *Service) describe(d *Dataset) DatasetInfo {
 func (s *Service) Budget(name string) (BudgetStatus, error) {
 	st, ok := s.acct.Status(canonName(name))
 	if !ok {
-		return BudgetStatus{}, &DatasetError{Name: name}
+		return BudgetStatus{}, unknownDataset(name)
 	}
 	return st, nil
 }
@@ -523,9 +558,9 @@ type prepared struct {
 // request; resolve its dataset, and "auto" against that dataset, so the
 // plan is the tier a Query would run; trace the path as op only when the
 // plan is cold — no completed plan is cached for the key, so a compile (or
-// a join onto one in flight) follows; fetch or compile the plan, warming
-// its ladder for req.Epsilon when warm is set, retrying a flight leader's
-// cancellation; and finish the trace.
+// a join onto one in flight) follows; fetch or compile the plan under a
+// worker slot, warming its ladder for req.Epsilon when warm is set and
+// retrying a flight leader's cancellation; and finish the trace.
 func (s *Service) planFor(ctx context.Context, op string, req *Request, warm bool) (prepared, error) {
 	if err := req.normalize(s.cfg); err != nil {
 		return prepared{}, err
@@ -537,15 +572,21 @@ func (s *Service) planFor(ctx context.Context, op string, req *Request, warm boo
 	req.resolveMode(ds, s.cfg)
 	var root *trace.Span
 	tctx := ctx
-	if pk, kerr := req.ensurePlanKey(ds); kerr == nil && !s.exec.PlanReady(pk) {
+	if pk, kerr := req.ensurePlanKey(ds); kerr == nil && !s.plans.Has(pk) {
 		root = s.tr.Start(op)
 		annotateRoot(root, ds, req)
 		tctx = trace.NewContext(ctx, root)
 	}
 	pp := prepared{ds: ds}
 	err = retryLeaderCancel(ctx, func() error {
-		var err error
-		pp.pl, pp.hit, err = s.exec.PlanFor(tctx, ds, req, warm)
+		rng, err := s.acquire(tctx)
+		if err != nil {
+			return err
+		}
+		defer s.releaseSlot(rng)
+		if pp.pl, pp.hit, err = s.fetchPlan(tctx, ds, req); err == nil && warm {
+			err = asRequestError(pp.pl.Warm(tctx, req.Epsilon))
+		}
 		return err
 	})
 	if root != nil {
@@ -554,7 +595,7 @@ func (s *Service) planFor(ctx context.Context, op string, req *Request, warm boo
 			root.Str("error", err.Error())
 		}
 		pp.traceID = s.tr.Finish(root)
-		putTraceID(ctx, pp.traceID)
+		noteTrace(ctx, pp.traceID)
 	}
 	return pp, err
 }
@@ -636,7 +677,10 @@ func (s *Service) do(ctx context.Context, req *Request, pre *Reservation, forceT
 	// resolved mode is part of the workload identity (a sampled estimate and
 	// an exact answer must never share a recorded release).
 	req.resolveMode(ds, s.cfg)
-	annotateMode(ctx, req.Mode)
+	// The access log shows the tier that actually served the query.
+	if ri := reqInfoOf(ctx); ri != nil {
+		ri.mode = req.Mode
+	}
 	key, err := req.cacheKey(ds)
 	if err != nil {
 		s.met.recordQuery(ds.Name, req.Kind, true, false, false, req.Epsilon, start, err)
@@ -670,13 +714,14 @@ func (s *Service) do(ctx context.Context, req *Request, pre *Reservation, forceT
 		// loop by the shared epilogue below.
 		if root == nil {
 			// Reaching compute means no recorded release exists: real work
-			// follows. Trace it when the plan cache predicts a fresh
-			// compile — including joining someone else's in-flight compile,
-			// which waits just as long — or when the warm sampler fires. At
-			// default settings (sampling off) the plan-cached hot path pays
+			// follows. Trace it when it will be expensive — no completed
+			// plan is cached, so a compile (or a join onto one in flight,
+			// which waits just as long) follows, or the plan is not primed,
+			// so the release solves LPs — or when the warm sampler fires.
+			// At default settings (sampling off) the primed hot path pays
 			// only this peek. A retried attempt keeps the first attempt's
 			// root, so retry spans land in the same trace.
-			if pk, kerr := req.ensurePlanKey(ds); kerr == nil && (!s.exec.PlanReady(pk) || s.tr.Sampled()) {
+			if pk, kerr := req.ensurePlanKey(ds); kerr == nil && (!s.primed(pk) || s.tr.Sampled()) {
 				root = s.tr.Start("query")
 				annotateRoot(root, ds, req)
 				tctx = trace.NewContext(ctx, root)
@@ -692,7 +737,7 @@ func (s *Service) do(ctx context.Context, req *Request, pre *Reservation, forceT
 			}
 			rsp.End()
 		}
-		value, hit, err := s.exec.Execute(tctx, ds, req)
+		value, hit, err := s.execute(tctx, ds, req)
 		planHit = hit
 		root.Bool("planHit", hit)
 		if err != nil {
@@ -753,7 +798,7 @@ func (s *Service) do(ctx context.Context, req *Request, pre *Reservation, forceT
 		if err != nil {
 			root.Str("error", err.Error())
 		}
-		putTraceID(ctx, s.tr.Finish(root))
+		noteTrace(ctx, s.tr.Finish(root))
 	}
 	s.met.recordQuery(ds.Name, req.Kind, true, cached, planHit, req.Epsilon, start, err)
 	if err != nil {

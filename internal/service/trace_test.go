@@ -158,7 +158,7 @@ func TestPrepareTraceAndProfile(t *testing.T) {
 	}
 
 	// The executor aggregate saw exactly one compile.
-	if cs := svc.exec.CompileStats(); cs.Count != 1 || cs.Last == nil || cs.Last.Kind != KindTriangles {
+	if cs := svc.compiles.stats(); cs.Count != 1 || cs.Last == nil || cs.Last.Kind != KindTriangles {
 		t.Fatalf("CompileStats after one compile: %+v", cs)
 	}
 }

@@ -9,11 +9,23 @@ import (
 // Tracing policy (see DESIGN.md "Per-query tracing"): a query is traced
 // when it is about to do expensive work — the plan cache holds no completed
 // plan for its key, so a fresh compile (or a join onto someone else's
-// in-flight compile) follows — when the 1-in-N warm sampler fires
-// (Config.TraceSampleEvery, off by default), or when the caller forces it
-// (async job items, so every batch item is attributable after the fact).
-// At default settings the plan-cached hot path therefore never starts a
-// trace and pays only a planKey peek plus nil-span no-ops.
+// in-flight compile) follows, or the plan is not primed, so the release
+// solves LPs (the first release on a plan Plan.Advance built for a changed
+// generation re-solves the whole ladder) — when the 1-in-N warm sampler
+// fires (Config.TraceSampleEvery, off by default), or when the caller
+// forces it (async job items, so every batch item is attributable after
+// the fact). A prepare or advise draws no release, so it is traced only
+// when no completed plan is cached. At default settings the primed hot path
+// therefore never starts a trace and pays only a plan-cache peek plus
+// nil-span no-ops.
+
+// primed reports whether the plan cache holds a completed plan for pk that
+// is primed (see plan.Plan.Primed). In-flight compiles report false, so a
+// coalesced waiter of a slow compile is traced like its leader.
+func (s *Service) primed(pk string) bool {
+	pl, ok := s.plans.Peek(pk)
+	return ok && pl.Primed()
+}
 
 // Tracer exposes the service's span recorder, for wiring the slow-query log
 // (cmd/recmechd) and for tests.
@@ -24,38 +36,21 @@ func (s *Service) Tracer() *trace.Tracer { return s.tr }
 func (s *Service) Traces() []trace.Summary { return s.tr.Recent() }
 
 // Trace returns one retained trace's full span tree by ID
-// (GET /v1/traces/{id}), failing with a *TraceError (404) when the ID is
+// (GET /v1/traces/{id}), failing with ErrUnknownTrace (404) when the ID is
 // unknown or already evicted from the ring.
 func (s *Service) Trace(id string) (*trace.TraceData, error) {
 	td, ok := s.tr.Get(id)
 	if !ok {
-		return nil, &TraceError{ID: id}
+		return nil, failf(ErrUnknownTrace, "unknown trace %q", id)
 	}
 	return td, nil
 }
 
-// traceIDSlot carries a completed trace's ID out of Service.do to whoever
-// installed the slot (the HTTP handlers, the job runner) — mirroring
-// accessInfo rather than adding a field to Response, whose JSON is the
-// durable release journal's replay payload and must not grow per-request
-// metadata.
-type traceIDSlot struct{ id string }
-
-type traceIDKey struct{}
-
-// withTraceSlot installs an empty trace-ID slot on ctx; putTraceID fills it.
-func withTraceSlot(ctx context.Context) (context.Context, *traceIDSlot) {
-	sl := &traceIDSlot{}
-	return context.WithValue(ctx, traceIDKey{}, sl), sl
-}
-
-// putTraceID records a finished trace's ID in the caller's slot, if any.
-func putTraceID(ctx context.Context, id string) {
-	if id == "" {
-		return
-	}
-	if sl, ok := ctx.Value(traceIDKey{}).(*traceIDSlot); ok {
-		sl.id = id
+// noteTrace records a finished trace's ID in ctx's request-info slot, if
+// any, so the caller can name it (header, access log, job item).
+func noteTrace(ctx context.Context, id string) {
+	if ri := reqInfoOf(ctx); ri != nil {
+		ri.traceID = id
 	}
 }
 
