@@ -47,7 +47,7 @@ type report struct {
 
 // metaFlags collects repeated -meta key=value pairs, stamped into the
 // report's meta object next to the parsed goos/goarch/pkg/cpu headers — CI
-// uses it to record which PR and GOMAXPROCS setting produced an artifact,
+// uses it to record which commit and GOMAXPROCS setting produced an artifact,
 // so scaling reports (e.g. the compile-scaling suite) stay comparable
 // across runs.
 type metaFlags map[string]string

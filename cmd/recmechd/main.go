@@ -94,11 +94,8 @@ import (
 	"syscall"
 	"time"
 
-	"recmech/internal/boolexpr"
 	"recmech/internal/graph"
-	"recmech/internal/krel"
 	"recmech/internal/noise"
-	"recmech/internal/query"
 	"recmech/internal/service"
 	"recmech/internal/store"
 )
@@ -119,7 +116,6 @@ func main() {
 		epsilon    = flag.Float64("epsilon", 0.5, "default per-query ε when a request omits it")
 		maxEps     = flag.Float64("max-epsilon", 0, "per-query ε ceiling (0 = only the dataset budget caps)")
 		workers    = flag.Int("workers", 0, "max concurrent mechanism runs (0 = GOMAXPROCS)")
-		compilePar = flag.Int("compile-parallelism", 0, "shared compute-pool workers for fresh compiles: enumeration shards and H/G ladder waves; never changes results, only wall-clock (0 = GOMAXPROCS)")
 		seed       = flag.Int64("seed", 1, "base RNG seed for the noise streams")
 		demo       = flag.Bool("demo", false, "also register a built-in 200-node random graph as \"demo\"")
 		drainFor   = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
@@ -133,9 +129,6 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof on this second listener (keep it private; empty = off)")
 		exposeAcc  = flag.Bool("expose-accuracy", false, "answer tenant-facing accuracy questions (POST /v2/advise, the prepare accuracy block); the Theorem 1 bound is computed from the sensitive data — see DESIGN.md before enabling")
 		spendWin   = flag.Duration("spend-window", 0, "sliding window for the ε burn-rate and budget-TTL forecasts (0 = default 1h)")
-		estThresh  = flag.Int("estimate-threshold", 0, "graph size in edges at which mode \"auto\" compiles through the sampling estimator instead of exact enumeration (0 = default 500000, negative = never auto-sample)")
-		estSamples = flag.Int("estimate-samples", 0, "estimator sample budget when a sampled request omits one (0 = default 20000)")
-		deltaKeep  = flag.Int("delta-keep-window", 0, "journalled appends per dataset before the delta chain is folded into a full re-materialization (0 = default 64)")
 	)
 	flag.Parse()
 
@@ -145,22 +138,18 @@ func main() {
 	}
 
 	cfg := service.Config{
-		DatasetBudget:      *budget,
-		DefaultEpsilon:     *epsilon,
-		MaxEpsilon:         *maxEps,
-		Workers:            *workers,
-		CompileParallelism: *compilePar,
-		Seed:               *seed,
-		PlanEntries:        *planCache,
-		MaxUploadBytes:     *maxUpload,
-		MaxBatchItems:      *maxBatch,
-		MaxJobs:            *maxJobs,
-		TraceSampleEvery:   *traceEvery,
-		ExposeAccuracy:     *exposeAcc,
-		SpendRateWindow:    *spendWin,
-		EstimateThreshold:  *estThresh,
-		EstimateSamples:    *estSamples,
-		DeltaKeepWindow:    *deltaKeep,
+		DatasetBudget:    *budget,
+		DefaultEpsilon:   *epsilon,
+		MaxEpsilon:       *maxEps,
+		Workers:          *workers,
+		Seed:             *seed,
+		PlanEntries:      *planCache,
+		MaxUploadBytes:   *maxUpload,
+		MaxBatchItems:    *maxBatch,
+		MaxJobs:          *maxJobs,
+		TraceSampleEvery: *traceEvery,
+		ExposeAccuracy:   *exposeAcc,
+		SpendRateWindow:  *spendWin,
 	}
 	var svc *service.Service
 	if *dataDir != "" {
@@ -200,23 +189,32 @@ func main() {
 		if !ok {
 			fail(fmt.Errorf("bad -tables %q, want NAME=TBL:FILE[,TBL:FILE…]", spec))
 		}
-		u := boolexpr.NewUniverse()
-		db := query.NewDatabase()
+		files := make(map[string]string)
 		for _, ent := range strings.Split(rest, ",") {
 			tbl, path, ok := strings.Cut(ent, ":")
 			if !ok {
 				fail(fmt.Errorf("bad -tables entry %q, want TBL:FILE", ent))
 			}
-			rel, err := loadTable(path, u)
-			if err != nil {
-				fail(fmt.Errorf("-tables %s, table %s: %w", name, tbl, err))
+			if _, dup := files[tbl]; dup {
+				fail(fmt.Errorf("-tables %s: table %s given twice", name, tbl))
 			}
-			db.Register(tbl, rel)
+			files[tbl] = path
+		}
+		// The same read and parse as an uploaded dataset: tables in sorted
+		// name order, so participants are numbered as a PUT would number
+		// them, and table names PUT refuses are refused here too.
+		texts, err := store.ReadTables(files)
+		if err != nil {
+			fail(fmt.Errorf("-tables %s: %w", name, err))
+		}
+		u, db, tables, err := store.ParseTables(texts)
+		if err != nil {
+			fail(fmt.Errorf("-tables %s: %w", name, err))
 		}
 		if err := svc.AddRelational(name, u, db); err != nil {
 			fail(fmt.Errorf("-tables %s: %w", name, err))
 		}
-		log.Printf("dataset %q: relational, tables %v, budget ε=%g", name, db.Names(), *budget)
+		log.Printf("dataset %q: relational, tables %v, budget ε=%g", name, tables, *budget)
 	}
 	if *demo {
 		g := graph.RandomAverageDegree(noise.NewRand(*seed), 200, 6)
@@ -284,15 +282,6 @@ func loadGraph(path string) (*graph.Graph, error) {
 	}
 	defer f.Close()
 	return graph.ReadEdgeList(f)
-}
-
-func loadTable(path string, u *boolexpr.Universe) (*krel.Relation, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return query.LoadTable(f, u)
 }
 
 func fail(err error) {

@@ -51,7 +51,7 @@ type Fanout func(n int, task func(i int) error) error
 // preserves, so a mode-dependent schedule could let a sub-tolerance
 // inversion steer the two modes to different answers. One schedule
 // everywhere is what makes every output bit-identical across every
-// -compile-parallelism; parallelism only ever changes wall-clock overlap.
+// compile-pool size; parallelism only ever changes wall-clock overlap.
 const ladderWave = 4
 
 // Core runs the recursive mechanism framework of §4.1 over any Sequences
@@ -201,7 +201,7 @@ func waveProbes(lo, hi int, buf []int) []int {
 // floating-point error, and a sub-tolerance inversion near the threshold
 // could steer differently shaped searches to different indices — so, as
 // in XGiven, one pinned schedule is what makes Δ bit-identical across
-// every -compile-parallelism. i = |P| is always feasible because G_0 = 0.
+// every compile-pool size. i = |P| is always feasible because G_0 = 0.
 func (c *Core) Prepare() error {
 	if c.prepared {
 		return nil

@@ -47,7 +47,10 @@ type Delta struct {
 
 // AdvanceProfile records what one Advance reused and what it recomputed —
 // the delta-compile analogue of CompileProfile, surfaced by the serving
-// layer's metrics and stats. Nothing in it derives from tuple values.
+// layer's metrics and stats. Like CompileProfile it carries counts of the
+// data: TuplesReused+TuplesEncoded is the new generation's tuple count (an
+// exact count plan's answer), and Identical says whether the delta
+// touched the workload's sensitive relation at all.
 type AdvanceProfile struct {
 	// Fallback reports that the plan was recompiled from scratch; Reason
 	// says why ("sampled", "sql", "no-retained-state", "tuple-alignment").

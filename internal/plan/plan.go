@@ -25,7 +25,7 @@
 // and fans the ladder's independent H/G LP solves into probe waves during
 // Release and Warm. Every shard boundary and probe index is a fixed
 // function of the workload — never of the pool size — so a plan compiled
-// and released with any -compile-parallelism produces bit-identical Δ,
+// and released with any pool size produces bit-identical Δ,
 // sequence values and noise draws to the sequential path; this is what
 // keeps the durable replay cache and recorded-release WAL stable.
 //
@@ -121,8 +121,7 @@ type Spec struct {
 	// Mode selects the compile tier: ModeExact (or "") enumerates
 	// exhaustively and runs the full recursive mechanism; ModeSampled runs
 	// the estimator tier of internal/estimate instead. The serving layer
-	// resolves its wire-level "auto" before the spec gets here — a Spec
-	// only ever carries a decided mode.
+	// copies the request's mode here; nothing picks a tier by data size.
 	Mode string
 	// SampleBudget is the estimator's sample count in ModeSampled
 	// (0 = estimate.DefaultSamples, normalized by Validate so the budget
@@ -332,9 +331,10 @@ type Plan struct {
 // wall time of its two deterministic stages. It is measured unconditionally
 // (a compile is milliseconds-to-minutes, four clock reads are free there),
 // retained on the Plan for the life of the cache entry, and surfaced by the
-// serving layer through /v2/prepare and /v1/stats. Nothing in it derives
-// from tuple values — counts and durations describe the workload, not the
-// data's answer.
+// serving layer through /v2/prepare, /v1/stats and plan.compile spans. It
+// is not free of the data: Participants is |P| of the sensitive relation,
+// and Tuples is the exact answer of every exact count plan, since each
+// tuple weighs 1. Whoever reads a profile reads those counts.
 type CompileProfile struct {
 	Kind          string  `json:"kind"`
 	Privacy       string  `json:"privacy"`

@@ -14,8 +14,7 @@ import (
 	"recmech/internal/trace"
 )
 
-// Compile tiers a Spec can request. The serving layer's wire-level "auto"
-// resolves to one of these before the spec reaches Compile.
+// Compile tiers a Spec can request.
 const (
 	ModeExact   = "exact"
 	ModeSampled = "sampled"

@@ -31,7 +31,7 @@ import (
 // Pool is a fixed-size set of borrowable workers. The zero value is not
 // usable; construct with New. A Pool is safe for concurrent use and is
 // meant to be shared process-wide (the serving layer owns one sized by
-// -compile-parallelism).
+// GOMAXPROCS).
 type Pool struct {
 	tokens chan struct{}
 	size   int

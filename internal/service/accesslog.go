@@ -91,9 +91,8 @@ type AccessEntry struct {
 	// reserved (job admission), prepared (plan warm, zero ε), advised
 	// (accuracy question, zero ε), or none.
 	Outcome string `json:"outcome,omitempty"`
-	// Mode is the resolved compile tier ("exact" or "sampled") for query
-	// requests — the auto-resolution outcome, so the log attributes each
-	// answer to the tier that produced it.
+	// Mode is the compile tier ("exact" or "sampled") of query requests,
+	// so the log attributes each answer to the tier that produced it.
 	Mode string `json:"mode,omitempty"`
 	// TraceID names the span tree this request recorded, when it was traced
 	// (fresh compiles always are; see GET /v1/traces/{id}).

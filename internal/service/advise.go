@@ -99,7 +99,7 @@ type AdviseInfo struct {
 	Dataset string `json:"dataset"`
 	Kind    string `json:"kind"`
 	Privacy string `json:"privacy"`
-	// Mode is the resolved compile tier the advice describes: a sampled
+	// Mode is the compile tier the advice describes: a sampled
 	// plan's bounds compose the estimator contract with the DP noise (see
 	// AccuracyInfo.SamplerTerm and DESIGN.md "Estimator error vs. DP noise").
 	Mode string `json:"mode,omitempty"`

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -186,21 +187,22 @@ func BenchmarkBatchJob(b *testing.B) {
 
 // BenchmarkServiceQueryParallel measures the fresh-compile path of the
 // acceptance workload — a graph dataset big enough for the ladder's LP
-// solves to dominate — at -compile-parallelism 1, 2 and 4. Every iteration
-// registers the graph under a fresh dataset name, so the plan cache can
-// never short-circuit the compile. On a multicore box the 4-worker run
-// should be ≥ 2× the 1-worker run; on a single core the numbers mostly
-// certify that the fan-out machinery costs nothing when it cannot help.
+// solves to dominate — at GOMAXPROCS 1, 2 and 4, which size the shared
+// compile pool. Every iteration registers the graph under a fresh dataset
+// name, so the plan cache can never short-circuit the compile. On a
+// multicore box the 4-worker run should be ≥ 2× the 1-worker run; on a
+// single core the numbers mostly certify that the fan-out machinery costs
+// nothing when it cannot help.
 func BenchmarkServiceQueryParallel(b *testing.B) {
 	g := graph.RandomAverageDegree(noise.NewRand(17), 120, 7)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			svc := New(Config{
-				DatasetBudget:      1e18,
-				DefaultEpsilon:     0.5,
-				Workers:            1,
-				CompileParallelism: workers,
-				Seed:               1,
+				DatasetBudget:  1e18,
+				DefaultEpsilon: 0.5,
+				Workers:        1,
+				Seed:           1,
 			})
 			ctx := context.Background()
 			b.ReportAllocs()
@@ -251,7 +253,7 @@ func BenchmarkServiceQueryCached(b *testing.B) {
 // service (fsync on) holding a 100k-node, 200k-edge graph: parse the delta,
 // check it against the current snapshot, build the next generation, journal
 // the delta and register it. The keep-window fold runs at its default
-// cadence, so one append in every DeltaKeepWindow also re-materializes the
+// cadence, so one append in every deltaKeepWindow also re-materializes the
 // whole edge list.
 func BenchmarkAppendGraph(b *testing.B) {
 	const n, m = 100_000, 200_000

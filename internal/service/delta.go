@@ -32,11 +32,17 @@ type AppendRequest struct {
 // their next query.
 const maxRewarmPlans = 8
 
+// deltaKeepWindow is how many journalled graph deltas may accumulate in the
+// WAL before an append folds them into a full re-materialization of the
+// dataset. Recovery replays the chain either way; the window only trades
+// boot-time replay work against write amplification on the append path.
+const deltaKeepWindow = 64
+
 // AppendDataset applies a delta to a registered dataset, advancing it one
 // micro-generation. Graph appends add edges (and optionally nodes) to the
 // current snapshot; on a durable service the delta itself is journalled in
 // the WAL beside the release records — replayable history, the full
-// edge-list is only re-materialized once Config.DeltaKeepWindow deltas
+// edge-list is only re-materialized once deltaKeepWindow deltas
 // accumulate. Relational appends add rows to existing tables and always
 // re-materialize (SQL plans have no incremental path), so they require a
 // durable store.
@@ -122,7 +128,7 @@ func (s *Service) appendGraph(root *trace.Span, ds *Dataset, ap AppendRequest) (
 		// drop the journal entries — recovery then loads one file instead
 		// of replaying a long chain. Best-effort: a failed materialize
 		// leaves the (fully sufficient) delta chain in place.
-		if len(s.store.DeltasFor(ds.Name)) >= s.cfg.DeltaKeepWindow {
+		if len(s.store.DeltasFor(ds.Name)) >= deltaKeepWindow {
 			if _, err := s.store.Datasets().PutBuiltGraph(ds.Name, g2, newGen); err == nil {
 				_ = s.store.DropDeltas(ds.Name, newGen)
 				root.Bool("materialized", true)

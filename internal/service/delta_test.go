@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,7 +12,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"recmech/internal/graph"
@@ -254,7 +252,6 @@ func TestLadderSolvingReleasesTraced(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.resolveMode(ds, s.cfg)
 			pk, err := r.ensurePlanKey(ds)
 			if err != nil {
 				t.Fatal(err)
@@ -341,115 +338,6 @@ func TestReuploadAndDeletePurgeStaleEntries(t *testing.T) {
 	}
 }
 
-// TestAppendCrossesEstimateThreshold pins satellite 2: an append that pushes
-// a graph over -estimate-threshold flips mode "auto" from exact to sampled
-// on the next compile, the resolved mode lands in the access log, and the
-// sampled release is cached under a distinct key (the mode/samples segment),
-// so it can never replay as the exact answer.
-func TestAppendCrossesEstimateThreshold(t *testing.T) {
-	g := graph.RandomAverageDegree(noise.NewRand(9), 16, 1)
-	threshold := g.NumEdges() + 3 // three fresh edges away from flipping
-	s := New(Config{DatasetBudget: 100, Workers: 1, Seed: 3, EstimateThreshold: threshold})
-	if err := s.AddGraph("g", g); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	logger, err := NewAccessLogger(syncWriter{&mu, &buf}, "json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(WithAccessLog(NewHandler(s), logger))
-	defer ts.Close()
-
-	post := func(body string) Response {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/v2/query", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("query: %d %s", resp.StatusCode, raw)
-		}
-		var r Response
-		if err := json.Unmarshal(raw, &r); err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	const q = `{"dataset":"g","kind":"triangles","epsilon":0.4,"mode":"auto"}`
-	if r := post(q); r.Mode != "" {
-		t.Fatalf("under threshold: mode %q, want exact (omitted)", r.Mode)
-	}
-
-	// Push the edge count to the threshold with fresh edges.
-	var adds []string
-	need := threshold - g.NumEdges()
-	for u := 0; u < 16 && need > 0; u++ {
-		for v := u + 1; v < 16 && need > 0; v++ {
-			if !g.HasEdge(u, v) {
-				adds = append(adds, fmt.Sprintf("%d %d", u, v))
-				need--
-			}
-		}
-	}
-	areq, _ := json.Marshal(AppendRequest{Edges: strings.Join(adds, "\n")})
-	hreq, _ := http.NewRequest(http.MethodPatch, ts.URL+"/v1/datasets/g", bytes.NewReader(areq))
-	hresp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, hresp.Body)
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		t.Fatalf("append: %d", hresp.StatusCode)
-	}
-	s.rewarmWG.Wait()
-
-	if r := post(q); r.Mode != ModeSampled {
-		t.Fatalf("over threshold: mode %q, want %q", r.Mode, ModeSampled)
-	}
-	sampledKeys := 0
-	for _, k := range s.cache.Keys() {
-		if strings.Contains(k, "mode=sampled") {
-			sampledKeys++
-		}
-	}
-	if sampledKeys != 1 {
-		t.Fatalf("sampled release not keyed distinctly: %v", s.cache.Keys())
-	}
-
-	mu.Lock()
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	mu.Unlock()
-	var modes []string
-	for _, line := range lines {
-		var e AccessEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("access log line %q: %v", line, err)
-		}
-		if e.Path == "/v2/query" {
-			modes = append(modes, e.Mode)
-		}
-	}
-	if len(modes) != 2 || modes[0] != ModeExact || modes[1] != ModeSampled {
-		t.Fatalf("access-log modes %v, want [exact sampled]", modes)
-	}
-}
-
-type syncWriter struct {
-	mu *sync.Mutex
-	w  io.Writer
-}
-
-func (s syncWriter) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Write(p)
-}
-
 // TestAppendDurableRecovery checks the WAL leg of the tentpole: journalled
 // deltas replay at boot, the dataset comes back at its last micro-generation
 // with the appended edges, and releases recorded against that generation
@@ -524,30 +412,31 @@ func TestAppendDurableRecovery(t *testing.T) {
 }
 
 // TestAppendKeepWindowMaterializes checks the delta journal's compaction
-// valve: once DeltaKeepWindow deltas accumulate, an append folds the chain
+// valve: once deltaKeepWindow deltas accumulate, an append folds the chain
 // into a full re-materialization at the current generation and drops the
 // journalled deltas — and recovery from the materialized state is identical.
 func TestAppendKeepWindowMaterializes(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{DatasetBudget: 100, Workers: 1, Seed: 5, DeltaKeepWindow: 2}
+	cfg := Config{DatasetBudget: 100, Workers: 1, Seed: 5}
 	st, err := store.Open(store.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, _ := NewWithStore(cfg, st)
-	g := graph.RandomAverageDegree(noise.NewRand(13), 12, 2)
+	g := graph.RandomAverageDegree(noise.NewRand(13), 16, 2)
 	if _, err := s.UploadGraph("g", []byte(graphText(g))); err != nil {
 		t.Fatal(err)
 	}
-	adds := freshEdges(g, 3)
+	adds := freshEdges(g, deltaKeepWindow+1)
 	for _, a := range adds {
 		if _, err := s.AppendDataset("g", AppendRequest{Edges: a}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.rewarmWG.Wait()
-	// Appends 1 and 2 journal; append 2 hits the window and materializes
-	// (dropping both), append 3 starts a fresh chain of one.
+	// Appends 1 through deltaKeepWindow journal; the last of them hits the
+	// window and materializes (dropping the chain), and the append after it
+	// starts a fresh chain of one.
 	if ds := st.DeltasFor("g"); len(ds) != 1 {
 		t.Fatalf("delta chain after keep-window fold: %d entries, want 1", len(ds))
 	}
@@ -555,12 +444,12 @@ func TestAppendKeepWindowMaterializes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if df.Version != 3 {
-		t.Fatalf("materialized version %d, want 3 (the fold generation)", df.Version)
+	if df.Version != deltaKeepWindow+1 {
+		t.Fatalf("materialized version %d, want %d (the fold generation)", df.Version, deltaKeepWindow+1)
 	}
 	// The expected generations, built independently of the service: the
-	// fold stored generation 3 (base plus two appends), and recovery must
-	// come back at generation 4 (plus the third).
+	// fold stored the base plus deltaKeepWindow appends, and recovery must
+	// come back one generation later, with the last append.
 	want := g.Clone()
 	for i, a := range adds {
 		var u, v int
@@ -568,7 +457,7 @@ func TestAppendKeepWindowMaterializes(t *testing.T) {
 			t.Fatal(err)
 		}
 		want.AddEdge(u, v)
-		if i == 1 && !slices.Equal(df.Graph.Edges(), want.Edges()) {
+		if i == deltaKeepWindow-1 && !slices.Equal(df.Graph.Edges(), want.Edges()) {
 			t.Fatalf("materialized edges %v, want %v", df.Graph.Edges(), want.Edges())
 		}
 	}
@@ -595,9 +484,9 @@ func TestAppendKeepWindowMaterializes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds2.Gen != 4 || ds2.Graph.NumNodes() != want.NumNodes() || !slices.Equal(ds2.Graph.Edges(), want.Edges()) {
-		t.Fatalf("recovered gen %d with %d nodes and edges %v, want gen 4 with %d nodes and edges %v",
-			ds2.Gen, ds2.Graph.NumNodes(), ds2.Graph.Edges(), want.NumNodes(), want.Edges())
+	if ds2.Gen != deltaKeepWindow+2 || ds2.Graph.NumNodes() != want.NumNodes() || !slices.Equal(ds2.Graph.Edges(), want.Edges()) {
+		t.Fatalf("recovered gen %d with %d nodes and edges %v, want gen %d with %d nodes and edges %v",
+			ds2.Gen, ds2.Graph.NumNodes(), ds2.Graph.Edges(), deltaKeepWindow+2, want.NumNodes(), want.Edges())
 	}
 }
 

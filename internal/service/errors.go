@@ -50,9 +50,9 @@ var (
 	// (the mechanism layer panics on c ≤ 0; the service validates at the
 	// boundary so a request parameter can never reach that panic).
 	ErrInvalidTail = errors.New("service: invalid tail parameter")
-	// ErrInvalidMode rejects a compile-mode selection that is not one of
-	// auto/exact/sampled, a sample budget out of range, or a sampled mode
-	// aimed at a workload that only compiles exactly (SQL).
+	// ErrInvalidMode rejects a compile-mode selection that is not exact or
+	// sampled, a sample budget without sampled mode or out of range, or a
+	// sampled mode aimed at a workload that only compiles exactly (SQL).
 	ErrInvalidMode = errors.New("service: invalid compile mode")
 	// ErrAccuracyDisabled rejects a tenant-facing accuracy request
 	// (/v2/advise, the prepare accuracy block) on a server that has not

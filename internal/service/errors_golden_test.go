@@ -120,7 +120,14 @@ func TestErrorWireGolden(t *testing.T) {
 			method: "POST", path: "/v2/query",
 			body:   `{"dataset":"g","kind":"triangles","mode":"fast"}`,
 			status: http.StatusBadRequest, code: "invalid_mode",
-			message: `service: invalid compile mode: mode must be "auto", "exact" or "sampled", got "fast"`,
+			message: `service: invalid compile mode: mode must be "exact" or "sampled", got "fast"`,
+		},
+		{
+			name:   "mode auto is no tier",
+			method: "POST", path: "/v2/query",
+			body:   `{"dataset":"g","kind":"triangles","mode":"auto"}`,
+			status: http.StatusBadRequest, code: "invalid_mode",
+			message: `service: invalid compile mode: mode must be "exact" or "sampled", got "auto"`,
 		},
 		{
 			name:   "accuracy disabled",
@@ -135,6 +142,14 @@ func TestErrorWireGolden(t *testing.T) {
 			body:   `{"dataset":"g","kind":"triangles","epsilon":-1}`,
 			status: http.StatusBadRequest, code: "bad_request",
 			message: `service: bad request: epsilon must be positive and finite, got -1`,
+		},
+		{
+			name:   "bad request (epsilon ceiling)",
+			cfg:    Config{MaxEpsilon: 1},
+			method: "POST", path: "/v2/query",
+			body:   `{"dataset":"g","kind":"triangles","epsilon":2}`,
+			status: http.StatusBadRequest, code: "bad_request",
+			message: `service: bad request: epsilon 2 exceeds the per-query ceiling 1`,
 		},
 		{
 			name:   "bad request (JSON)",
@@ -172,18 +187,18 @@ func TestErrorWireGolden(t *testing.T) {
 			message: `service: bad request: query[1]: epsilon must be positive and finite, got -1`,
 		},
 		{
-			name:   "job item invalid mode keeps its message",
+			name:   "job item invalid mode carries its index",
 			method: "POST", path: "/v2/jobs",
 			body:   `{"queries":[{"dataset":"g","kind":"triangles","mode":"fast"}]}`,
 			status: http.StatusBadRequest, code: "invalid_mode",
-			message: `service: invalid compile mode: mode must be "auto", "exact" or "sampled", got "fast"`,
+			message: `service: invalid compile mode: query[0]: mode must be "exact" or "sampled", got "fast"`,
 		},
 		{
-			name:   "job item unknown dataset keeps its message",
+			name:   "job item unknown dataset carries its index",
 			method: "POST", path: "/v2/jobs",
 			body:   `{"queries":[{"dataset":"g","kind":"triangles"},{"dataset":"nope","kind":"triangles"}]}`,
 			status: http.StatusNotFound, code: "unknown_dataset",
-			message: `service: unknown dataset "nope"`,
+			message: `service: query[1]: unknown dataset "nope"`,
 		},
 		{
 			name:   "canceled",

@@ -11,19 +11,21 @@ import (
 	"recmech"
 )
 
-// newEstimatorServer builds a server whose auto threshold is low enough that
-// its graph dataset ("g", 8 edges) resolves to the sampled tier, with the
-// accuracy surfaces exposed and the access log captured.
+// sampledTriangles asks for the sampled tier on newEstimatorServer's graph
+// dataset ("g", 8 edges): only the request selects it, at any graph size.
+var sampledTriangles = recmech.ServiceRequest{Dataset: "g", Kind: recmech.KindTriangles,
+	Mode: recmech.ModeSampled, Samples: 2000}
+
+// newEstimatorServer builds a server with the accuracy surfaces exposed and
+// the access log captured.
 func newEstimatorServer(t testing.TB) (*httptest.Server, *recmech.Service, *bytes.Buffer) {
 	t.Helper()
 	svc := recmech.NewService(recmech.ServiceConfig{
-		DatasetBudget:     10,
-		DefaultEpsilon:    0.5,
-		Workers:           4,
-		Seed:              7,
-		ExposeAccuracy:    true,
-		EstimateThreshold: 1, // every graph dataset auto-samples
-		EstimateSamples:   2000,
+		DatasetBudget:  10,
+		DefaultEpsilon: 0.5,
+		Workers:        4,
+		Seed:           7,
+		ExposeAccuracy: true,
 	})
 	g := recmech.NewGraph(8)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}, {5, 6}, {6, 7}} {
@@ -43,11 +45,14 @@ func newEstimatorServer(t testing.TB) (*httptest.Server, *recmech.Service, *byte
 }
 
 // TestInvalidModeHTTP pins the typed 400: every bad mode/samples combination
-// answers with code "invalid_mode", not the generic bad_request.
+// answers with code "invalid_mode", not the generic bad_request. "auto" is
+// no tier, and samples without mode "sampled" selects none.
 func TestInvalidModeHTTP(t *testing.T) {
 	ts, _ := newTestServer(t, 2.0)
 	cases := []map[string]any{
 		{"dataset": "g", "kind": "triangles", "mode": "approximate"},
+		{"dataset": "g", "kind": "triangles", "mode": "auto"},
+		{"dataset": "g", "kind": "triangles", "samples": 100},
 		{"dataset": "med", "kind": "sql", "query": "SELECT x FROM visits", "mode": "sampled"},
 		{"dataset": "g", "kind": "triangles", "samples": -1},
 		{"dataset": "g", "kind": "triangles", "mode": "exact", "samples": 100},
@@ -77,10 +82,10 @@ func TestInvalidModeHTTP(t *testing.T) {
 func TestSampledQueryEndToEnd(t *testing.T) {
 	ts, svc, logBuf := newEstimatorServer(t)
 
-	// Prepare first: the mode resolves to sampled and (on this opted-in
-	// server) the estimator contract is reported — never the estimate value.
+	// Prepare first: the plan is sampled and (on this opted-in server) the
+	// estimator contract is reported — never the estimate value.
 	var prep recmech.PrepareInfo
-	code, raw := doJSON(t, http.MethodPost, ts.URL+"/v2/prepare", map[string]any{"dataset": "g", "kind": "triangles"})
+	code, raw := doJSON(t, http.MethodPost, ts.URL+"/v2/prepare", sampledTriangles)
 	if code != http.StatusOK {
 		t.Fatalf("prepare: status %d: %s", code, raw)
 	}
@@ -88,7 +93,7 @@ func TestSampledQueryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if prep.Mode != recmech.ModeSampled {
-		t.Fatalf("prepare mode %q, want sampled (auto over the threshold)", prep.Mode)
+		t.Fatalf("prepare mode %q, want sampled", prep.Mode)
 	}
 	if prep.Estimate == nil {
 		t.Fatal("prepare on an exposing server carries no estimate block")
@@ -101,7 +106,7 @@ func TestSampledQueryEndToEnd(t *testing.T) {
 	}
 
 	// Query: a fresh sampled release, then a zero-ε replay of it.
-	code, resp, _ := postQuery(t, ts, recmech.ServiceRequest{Dataset: "g", Kind: recmech.KindTriangles})
+	code, resp, _ := postQuery(t, ts, sampledTriangles)
 	if code != http.StatusOK {
 		t.Fatalf("query: status %d", code)
 	}
@@ -111,7 +116,7 @@ func TestSampledQueryEndToEnd(t *testing.T) {
 	if resp.Cached {
 		t.Fatal("first sampled query reported cached")
 	}
-	code, resp2, _ := postQuery(t, ts, recmech.ServiceRequest{Dataset: "g", Kind: recmech.KindTriangles})
+	code, resp2, _ := postQuery(t, ts, sampledTriangles)
 	if code != http.StatusOK || !resp2.Cached {
 		t.Fatalf("repeat: status %d cached %v, want a replay", code, resp2.Cached)
 	}
@@ -129,6 +134,11 @@ func TestSampledQueryEndToEnd(t *testing.T) {
 	}
 	if respExact.Mode != "" {
 		t.Errorf("exact response mode %q, want empty (replay-payload compatibility)", respExact.Mode)
+	}
+	// No mode is exact: it replays the exact release, never the sampled one.
+	code, respDefault, _ := postQuery(t, ts, recmech.ServiceRequest{Dataset: "g", Kind: recmech.KindTriangles})
+	if code != http.StatusOK || !respDefault.Cached || respDefault.Value != respExact.Value || respDefault.Mode != "" {
+		t.Errorf("query without a mode: status %d, %+v; want a replay of the exact release %g", code, respDefault, respExact.Value)
 	}
 
 	// /v1/stats: the estimator section counts both tiers.
@@ -157,9 +167,9 @@ func TestSampledQueryEndToEnd(t *testing.T) {
 // estimator contract through /v2/advise.
 func TestSampledAdvise(t *testing.T) {
 	ts, _, _ := newEstimatorServer(t)
-	code, raw := doJSON(t, http.MethodPost, ts.URL+"/v2/advise", map[string]any{
-		"dataset": "g", "kind": "triangles", "epsilon": 0.5,
-	})
+	req := sampledTriangles
+	req.Epsilon = 0.5
+	code, raw := doJSON(t, http.MethodPost, ts.URL+"/v2/advise", req)
 	if code != http.StatusOK {
 		t.Fatalf("advise: status %d: %s", code, raw)
 	}
@@ -190,7 +200,9 @@ func TestSampledAdvise(t *testing.T) {
 func TestSampledReplayDeterministic(t *testing.T) {
 	value := func() float64 {
 		ts, _, _ := newEstimatorServer(t)
-		code, resp, _ := postQuery(t, ts, recmech.ServiceRequest{Dataset: "g", Kind: recmech.KindTriangles, Epsilon: 0.25})
+		req := sampledTriangles
+		req.Epsilon = 0.25
+		code, resp, _ := postQuery(t, ts, req)
 		if code != http.StatusOK {
 			t.Fatalf("query: status %d", code)
 		}
@@ -201,45 +213,11 @@ func TestSampledReplayDeterministic(t *testing.T) {
 	}
 }
 
-// TestAutoThresholdResolution: below the threshold auto stays exact; a
-// negative threshold disables auto-sampling even on huge requests; an
-// explicit sampled request works regardless of size.
-func TestAutoThresholdResolution(t *testing.T) {
-	ts, _ := newTestServerCfg(t, recmech.ServiceConfig{
-		DatasetBudget:     10,
-		Workers:           2,
-		Seed:              7,
-		EstimateThreshold: 1000, // the 8-edge test graph stays exact
-	})
-	code, resp, _ := postQuery(t, ts, recmech.ServiceRequest{Dataset: "g", Kind: recmech.KindTriangles})
-	if code != http.StatusOK {
-		t.Fatalf("query: status %d", code)
-	}
-	if resp.Mode != "" {
-		t.Fatalf("auto under the threshold resolved to %q, want exact (empty mode)", resp.Mode)
-	}
-	code, resp, _ = postQuery(t, ts, recmech.ServiceRequest{Dataset: "g", Kind: recmech.KindTriangles, Mode: recmech.ModeSampled})
-	if code != http.StatusOK || resp.Mode != recmech.ModeSampled {
-		t.Fatalf("explicit sampled: status %d mode %q, want 200 sampled", code, resp.Mode)
-	}
-
-	tsOff, _ := newTestServerCfg(t, recmech.ServiceConfig{
-		DatasetBudget:     10,
-		Workers:           2,
-		Seed:              7,
-		EstimateThreshold: -1, // auto never samples
-	})
-	code, resp, _ = postQuery(t, tsOff, recmech.ServiceRequest{Dataset: "g", Kind: recmech.KindTriangles})
-	if code != http.StatusOK || resp.Mode != "" {
-		t.Fatalf("auto with sampling disabled: status %d mode %q, want 200 exact", code, resp.Mode)
-	}
-}
-
 // TestSampledMillionNodeEndToEnd is the acceptance run: a triangle query on
 // a synthetic million-node graph completes end to end in sampled mode, with
-// the tier choice and contract visible in the access log and /v1/stats. The
-// same workload in exact mode would enumerate for hours; the estimator
-// answers in well under a second.
+// the tier and contract visible in the access log and /v1/stats. The same
+// workload in exact mode would enumerate for hours; the estimator answers in
+// well under a second.
 func TestSampledMillionNodeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-node fixture generation is seconds of work; skipped under -short")
@@ -250,8 +228,6 @@ func TestSampledMillionNodeEndToEnd(t *testing.T) {
 		Workers:        2,
 		Seed:           7,
 		ExposeAccuracy: true,
-		// EstimateThreshold left at the default 500 000: the 2M-edge graph
-		// must cross it on its own.
 	})
 	g := recmech.RandomClusteredGraph(recmech.NewRand(1), 1_000_000, 2_000_000, 0.3)
 	if err := svc.AddGraph("big", g); err != nil {
@@ -265,12 +241,12 @@ func TestSampledMillionNodeEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(recmech.WithAccessLog(recmech.NewServiceHandler(svc), l))
 	defer ts.Close()
 
-	code, resp, _ := postQuery(t, ts, recmech.ServiceRequest{Dataset: "big", Kind: recmech.KindTriangles})
+	code, resp, _ := postQuery(t, ts, recmech.ServiceRequest{Dataset: "big", Kind: recmech.KindTriangles, Mode: recmech.ModeSampled})
 	if code != http.StatusOK {
 		t.Fatalf("million-node query: status %d", code)
 	}
 	if resp.Mode != recmech.ModeSampled {
-		t.Fatalf("auto on a 2M-edge graph resolved to %q, want sampled", resp.Mode)
+		t.Fatalf("sampled query on a 2M-edge graph answered in mode %q", resp.Mode)
 	}
 
 	st := svc.Stats()

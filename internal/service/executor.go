@@ -12,8 +12,8 @@ import (
 )
 
 // compileWorkers returns the pool handed to plan.CompileContext, or nil
-// when the pool has a single worker: -compile-parallelism=1 means "exactly
-// the sequential analysis", with zero fan-out machinery on the path — the
+// when the pool has a single worker: GOMAXPROCS=1 means "exactly the
+// sequential analysis", with zero fan-out machinery on the path — the
 // honest baseline the scaling benchmarks (and a single-core box) compare
 // against.
 func (s *Service) compileWorkers() *pool.Pool {

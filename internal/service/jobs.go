@@ -333,14 +333,21 @@ func (s *Service) runJob(ctx context.Context, j *job) {
 	}
 }
 
-// itemError prefixes a per-item validation failure with the item's index,
-// preserving the typed error class (400 stays 400, 404 stays 404).
+// itemError names the failing item in a per-item validation failure: its
+// index goes after the failure's category text ("bad request: ",
+// "invalid compile mode: "), or first when the reason has none, and the
+// typed error class is kept (400 stays 400, 404 stays 404).
 func itemError(i int, err error) error {
 	var e *Error
-	if errors.As(err, &e) && e.sentinel == ErrBadRequest {
-		return badRequestf("query[%d]: %s", i, strings.TrimPrefix(e.reason, "bad request: "))
+	if !errors.As(err, &e) {
+		return err
 	}
-	return err
+	category := strings.TrimPrefix(e.sentinel.Error(), "service: ") + ": "
+	rest, ok := strings.CutPrefix(e.reason, category)
+	if !ok {
+		category = ""
+	}
+	return &Error{sentinel: e.sentinel, reason: fmt.Sprintf("%squery[%d]: %s", category, i, rest)}
 }
 
 // JobStatus snapshots a job by id.

@@ -127,7 +127,7 @@ func TestJobDuplicateItemsShareRelease(t *testing.T) {
 }
 
 func TestJobAtomicAdmission(t *testing.T) {
-	svc := jobTestService(t, Config{DatasetBudget: 1.0})
+	svc := jobTestService(t, Config{DatasetBudget: 1.0, MaxEpsilon: 0.5})
 
 	// The batch sums over the remaining budget: rejected atomically, typed,
 	// with nothing spent or reserved.
@@ -158,6 +158,17 @@ func TestJobAtomicAdmission(t *testing.T) {
 	})
 	if !errors.Is(err, ErrUnknownDataset) {
 		t.Fatalf("unknown dataset item: %v, want ErrUnknownDataset", err)
+	}
+	// An item over the per-query ε ceiling too, and so is a lone query.
+	_, err = svc.SubmitJob([]Request{
+		{Dataset: "g", Kind: KindTriangles, Epsilon: 0.25},
+		{Dataset: "g", Kind: KindKStars, K: 2, Epsilon: 0.75},
+	})
+	if !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("item over the ε ceiling: %v, want ErrBadRequest", err)
+	}
+	if _, err := svc.Query(context.Background(), Request{Dataset: "g", Kind: KindTriangles, Epsilon: 0.75}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("query over the ε ceiling: %v, want ErrBadRequest", err)
 	}
 	if _, err := svc.SubmitJob(nil); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("empty batch: %v, want ErrBadRequest", err)

@@ -216,7 +216,7 @@ func (m *serviceMetrics) bind(s *Service) {
 	// ladder probe waves borrow workers here, so pool pressure is the
 	// leading indicator that fresh-query latency is about to stop scaling.
 	pl := s.compilePool
-	reg.GaugeFunc("recmech_compile_pool_workers", "Size of the shared compile pool (-compile-parallelism)",
+	reg.GaugeFunc("recmech_compile_pool_workers", "Size of the shared compile pool (GOMAXPROCS)",
 		func() float64 { return float64(pl.Size()) })
 	reg.GaugeFunc("recmech_compile_pool_busy", "Compile-pool workers currently borrowed by fan-outs",
 		func() float64 { return float64(pl.Stats().Busy) })
@@ -629,8 +629,8 @@ type ServiceStats struct {
 	// CompilePool snapshots the shared compile pool (see internal/pool):
 	// fixed size, instantaneous borrow/task/fan-out gauges, and monotone
 	// totals. A high InlineTotal rate means fresh compiles routinely find
-	// the pool starved and fall back to single-threaded analysis — raise
-	// -compile-parallelism or add cores.
+	// the pool starved and fall back to single-threaded analysis — add
+	// cores (the pool is GOMAXPROCS workers).
 	CompilePool pool.Stats   `json:"compilePool"`
 	Compiles    CompileStats `json:"compiles"`
 	Traces      trace.Stats  `json:"traces"`

@@ -9,15 +9,21 @@ import (
 	"testing"
 
 	"recmech/internal/graph"
+	"recmech/internal/lp"
 	"recmech/internal/noise"
 )
 
 // TestCompileParallelismNeverChangesAnswers runs the same seeded workload
-// sequence through services that differ only in -compile-parallelism and
-// requires bit-identical responses: the whole point of the shared compile
-// pool is wall-clock, never values — recorded releases must replay the same
-// no matter how the box that produced them was sized.
+// sequence through services built at different GOMAXPROCS, which sizes the
+// shared compile pool, and requires bit-identical responses: the whole
+// point of the pool is wall-clock, never values — recorded releases must
+// replay the same no matter how the box that produced them was sized. The
+// pool size also changes the order in which each plan fills its LP
+// warm-start cache, so this is the warm-start golden matrix too: the LP
+// counters prove the warm path ran, and a sampled request, which has no LP
+// state, rides along.
 func TestCompileParallelismNeverChangesAnswers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	g := graph.RandomAverageDegree(noise.NewRand(3), 16, 4)
 	requests := []Request{
 		{Dataset: "g", Kind: KindTriangles, Epsilon: 0.4},
@@ -26,11 +32,14 @@ func TestCompileParallelismNeverChangesAnswers(t *testing.T) {
 		{Dataset: "g", Kind: KindTriangles, Privacy: "edge", Epsilon: 0.4},
 		{Dataset: "g", Kind: KindPattern, PatternNodes: 3,
 			PatternEdges: [][2]int{{0, 1}, {1, 2}}, Epsilon: 0.2},
+		{Dataset: "g", Kind: KindKStars, K: 3, Mode: ModeSampled, Epsilon: 0.2},
 	}
 	ctx := context.Background()
 	var want []float64
-	for _, parallelism := range []int{1, 2, 4} {
-		svc := New(Config{DatasetBudget: 100, Workers: 1, CompileParallelism: parallelism, Seed: 9})
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		before := lp.ReadCounters()
+		svc := New(Config{DatasetBudget: 100, Workers: 1, Seed: 9})
 		if err := svc.AddGraph("g", g); err != nil {
 			t.Fatal(err)
 		}
@@ -38,9 +47,12 @@ func TestCompileParallelismNeverChangesAnswers(t *testing.T) {
 		for _, req := range requests {
 			resp, err := svc.Query(ctx, req)
 			if err != nil {
-				t.Fatalf("parallelism %d: %+v: %v", parallelism, req, err)
+				t.Fatalf("GOMAXPROCS %d: %+v: %v", procs, req, err)
 			}
 			got = append(got, resp.Value)
+		}
+		if lp.ReadCounters().WarmApplied == before.WarmApplied {
+			t.Errorf("GOMAXPROCS %d: no LP solve applied a warm-start seed", procs)
 		}
 		if want == nil {
 			want = got
@@ -48,53 +60,53 @@ func TestCompileParallelismNeverChangesAnswers(t *testing.T) {
 		}
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("parallelism %d, request %d: value %v differs from parallelism 1's %v",
-					parallelism, i, got[i], want[i])
+				t.Fatalf("GOMAXPROCS %d, request %d: value %v differs from GOMAXPROCS 1's %v",
+					procs, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // The pool surfaces in /v1/stats and as recmech_compile_pool_* metric
-// families, sized by the config but capped at GOMAXPROCS (workers beyond
-// the scheduler's parallelism could only time-slice).
+// families, sized by GOMAXPROCS at construction; a one-worker pool is the
+// sequential compile, with no fan-out at all.
 func TestCompilePoolStatsExposed(t *testing.T) {
-	svc := New(Config{Workers: 1, CompileParallelism: 3})
-	g := graph.RandomAverageDegree(noise.NewRand(4), 12, 3)
-	if err := svc.AddGraph("g", g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Query(context.Background(), Request{Dataset: "g", Kind: KindTriangles, Epsilon: 0.1}); err != nil {
-		t.Fatal(err)
-	}
-	wantSize := 3
-	if max := runtime.GOMAXPROCS(0); wantSize > max {
-		wantSize = max
-	}
-	st := svc.Stats()
-	if st.CompilePool.Size != wantSize {
-		t.Errorf("CompilePool.Size = %d, want %d (GOMAXPROCS cap)", st.CompilePool.Size, wantSize)
-	}
-	if wantSize > 1 && st.CompilePool.FanoutsTotal == 0 {
-		t.Error("CompilePool.FanoutsTotal = 0 after a fresh graph compile, want > 0")
-	}
-	if wantSize == 1 && st.CompilePool.FanoutsTotal != 0 {
-		t.Errorf("CompilePool.FanoutsTotal = %d on a single-worker pool, want 0 (sequential compiles)",
-			st.CompilePool.FanoutsTotal)
-	}
-	if st.CompilePool.Busy != 0 || st.CompilePool.Tasks != 0 {
-		t.Errorf("pool gauges not drained: %+v", st.CompilePool)
-	}
-	var sb strings.Builder
-	svc.MetricsRegistry().WritePrometheus(&sb)
-	text := sb.String()
-	for _, family := range []string{
-		fmt.Sprintf("recmech_compile_pool_workers %d", wantSize),
-		"recmech_compile_pool_tasks_total",
-		"recmech_compile_pool_fanouts_total",
-	} {
-		if !strings.Contains(text, family) {
-			t.Errorf("metrics output missing %q", family)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, wantSize := range []int{1, 3} {
+		runtime.GOMAXPROCS(wantSize)
+		svc := New(Config{Workers: 1})
+		g := graph.RandomAverageDegree(noise.NewRand(4), 12, 3)
+		if err := svc.AddGraph("g", g); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Query(context.Background(), Request{Dataset: "g", Kind: KindTriangles, Epsilon: 0.1}); err != nil {
+			t.Fatal(err)
+		}
+		st := svc.Stats()
+		if st.CompilePool.Size != wantSize {
+			t.Errorf("CompilePool.Size = %d, want %d (GOMAXPROCS)", st.CompilePool.Size, wantSize)
+		}
+		if wantSize > 1 && st.CompilePool.FanoutsTotal == 0 {
+			t.Error("CompilePool.FanoutsTotal = 0 after a fresh graph compile, want > 0")
+		}
+		if wantSize == 1 && st.CompilePool.FanoutsTotal != 0 {
+			t.Errorf("CompilePool.FanoutsTotal = %d on a single-worker pool, want 0 (sequential compiles)",
+				st.CompilePool.FanoutsTotal)
+		}
+		if st.CompilePool.Busy != 0 || st.CompilePool.Tasks != 0 {
+			t.Errorf("pool gauges not drained: %+v", st.CompilePool)
+		}
+		var sb strings.Builder
+		svc.MetricsRegistry().WritePrometheus(&sb)
+		text := sb.String()
+		for _, family := range []string{
+			fmt.Sprintf("recmech_compile_pool_workers %d", wantSize),
+			"recmech_compile_pool_tasks_total",
+			"recmech_compile_pool_fanouts_total",
+		} {
+			if !strings.Contains(text, family) {
+				t.Errorf("metrics output missing %q", family)
+			}
 		}
 	}
 }

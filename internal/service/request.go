@@ -27,11 +27,9 @@ const (
 	MaxPatternEdges = plan.MaxPatternEdges
 )
 
-// Compile modes accepted on the wire. ModeAuto is resolved against the
-// dataset (resolveMode) before anything keyed on the workload happens; the
-// plan layer only ever sees exact or sampled.
+// Compile modes accepted on the wire. The request alone picks the tier:
+// no mode means exact, whatever the dataset's size.
 const (
-	ModeAuto    = "auto"
 	ModeExact   = plan.ModeExact
 	ModeSampled = plan.ModeSampled
 )
@@ -51,15 +49,16 @@ type Request struct {
 	Privacy string  `json:"privacy,omitempty"` // "node" (default) or "edge"; graph kinds only
 	Epsilon float64 `json:"epsilon,omitempty"` // privacy budget for this release
 
-	// Mode selects the compile tier for graph kinds: "exact" (exhaustive
-	// enumeration + the full recursive mechanism), "sampled" (the estimator
-	// tier of internal/estimate), or "auto"/"" (the server picks by dataset
-	// size against its -estimate-threshold). SQL always compiles exactly;
-	// asking for "sampled" there is a typed invalid_mode rejection.
+	// Mode selects the compile tier for graph kinds: "exact" or "" (exhaustive
+	// enumeration + the full recursive mechanism, at any dataset size) or
+	// "sampled" (the estimator tier of internal/estimate, whose noise is
+	// calibrated to the graph's maximum degree; see DESIGN.md "The
+	// sensitivity caveat"). SQL always compiles exactly; asking for
+	// "sampled" there is a typed invalid_mode rejection.
 	Mode string `json:"mode,omitempty"`
-	// Samples overrides the estimator's sample budget in sampled mode
-	// (0 = the server's -estimate-samples default). Part of the workload's
-	// cache identity: different budgets are different computations.
+	// Samples sets the estimator's sample budget in sampled mode
+	// (0 = estimate.DefaultSamples). Part of the workload's cache identity:
+	// different budgets are different computations.
 	Samples int `json:"samples,omitempty"`
 
 	// spec is the validated plan.Spec compiled by normalize: the canonical
@@ -96,7 +95,9 @@ type Response struct {
 
 // normalize validates the request in place, lowercasing the enum-ish fields,
 // substituting defaults, and compiling the workload spec (which parses SQL
-// exactly once). All failures match ErrBadRequest.
+// exactly once). The spec carries the request's compile tier, which is what
+// the cache keys derive from, so a sampled estimate can never replay as an
+// exact answer or vice versa. All failures match ErrBadRequest.
 func (r *Request) normalize(cfg Config) error {
 	r.Dataset = canonName(r.Dataset)
 	r.Kind = strings.ToLower(strings.TrimSpace(r.Kind))
@@ -125,16 +126,16 @@ func (r *Request) normalize(cfg Config) error {
 	r.Mode = strings.ToLower(strings.TrimSpace(r.Mode))
 	switch r.Mode {
 	case "":
-		r.Mode = ModeAuto
-	case ModeAuto, ModeExact:
+		r.Mode = ModeExact
+	case ModeExact:
 	case ModeSampled:
 		if r.Kind == KindSQL {
 			return modeErrorf("mode %q applies to graph kinds only; kind %q always compiles exactly", ModeSampled, KindSQL)
 		}
 	default:
-		return modeErrorf("mode must be %q, %q or %q, got %q", ModeAuto, ModeExact, ModeSampled, r.Mode)
+		return modeErrorf("mode must be %q or %q, got %q", ModeExact, ModeSampled, r.Mode)
 	}
-	if r.Samples != 0 && r.Mode == ModeExact {
+	if r.Samples != 0 && r.Mode != ModeSampled {
 		return modeErrorf("samples applies to mode %q only", ModeSampled)
 	}
 	if r.Samples < 0 || r.Samples > estimate.MaxSamples {
@@ -147,50 +148,14 @@ func (r *Request) normalize(cfg Config) error {
 		PatternNodes: r.PatternNodes,
 		PatternEdges: r.PatternEdges,
 		EdgePrivacy:  r.Privacy == "edge",
+		Mode:         r.Mode,
+		SampleBudget: r.Samples, // 0 → estimate.DefaultSamples, set by Validate
 	}
 	if err := spec.Validate(); err != nil {
 		return asRequestError(err)
 	}
 	r.spec = spec
 	return nil
-}
-
-// resolveMode decides the compile tier once the dataset is known, turning
-// the wire-level "auto" into exact or sampled and stamping the decision
-// (and the resolved sample budget) onto the workload spec — which is what
-// the cache keys derive from, so a sampled estimate can never replay as an
-// exact answer or vice versa. Must run after normalize and before any
-// cacheKey/ensurePlanKey derivation.
-//
-// Auto samples exactly when the dataset is a graph at least
-// cfg.EstimateThreshold edges large (threshold ≤ 0 disables auto-sampling).
-// Relational datasets always compile exactly — normalize already rejected
-// an explicit sampled request against KindSQL, and a graph-kind request
-// against a relational dataset fails in the compiler with its usual typed
-// error, so stamping exact here is never wrong.
-func (r *Request) resolveMode(ds *Dataset, cfg Config) {
-	mode := r.Mode
-	if ds.Graph == nil {
-		mode = ModeExact
-	} else if mode == ModeAuto {
-		if cfg.EstimateThreshold > 0 && ds.Graph.NumEdges() >= cfg.EstimateThreshold {
-			mode = ModeSampled
-		} else {
-			mode = ModeExact
-		}
-	}
-	r.Mode = mode
-	if mode == ModeSampled {
-		r.spec.Mode = plan.ModeSampled
-		if r.Samples > 0 {
-			r.spec.SampleBudget = r.Samples
-		} else {
-			r.spec.SampleBudget = cfg.EstimateSamples
-		}
-	} else {
-		r.spec.Mode = plan.ModeExact
-		r.spec.SampleBudget = 0
-	}
 }
 
 // asRequestError converts a caller-caused plan failure into the service's

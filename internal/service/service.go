@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"recmech/internal/boolexpr"
-	"recmech/internal/estimate"
 	"recmech/internal/graph"
 	"recmech/internal/noise"
 	"recmech/internal/plan"
@@ -35,16 +34,6 @@ type Config struct {
 	MaxEpsilon float64
 	// Workers bounds concurrent mechanism runs. Default GOMAXPROCS.
 	Workers int
-	// CompileParallelism sizes the shared compute pool that fresh compiles
-	// fan their deterministic analysis into — subgraph enumeration shards
-	// and the ladder's H/G LP probe waves. One pool serves the whole
-	// service, so N concurrent fresh queries share at most this many extra
-	// workers (plus their own goroutines) rather than oversubscribing the
-	// box N·cores ways. Values above GOMAXPROCS are capped to it (extra
-	// workers could only time-slice), and 1 means fully sequential
-	// compiles. Parallelism never changes an output bit (see
-	// internal/plan). Default GOMAXPROCS.
-	CompileParallelism int
 	// Seed makes the noise streams reproducible across runs. Default 1.
 	Seed int64
 	// PlanEntries bounds the compiled-plan cache; the oldest plans are
@@ -68,9 +57,6 @@ type Config struct {
 	// disables warm sampling, keeping tracing entirely off the prepared hot
 	// path; see DESIGN.md "Per-query tracing".
 	TraceSampleEvery int
-	// TraceRingEntries bounds the ring of recent completed traces behind
-	// GET /v1/traces; the oldest are evicted beyond it. Default 256.
-	TraceRingEntries int
 	// ExposeAccuracy enables the tenant-facing accuracy surfaces: the
 	// accuracy block on /v2/prepare responses and the POST /v2/advise
 	// endpoint. Off by default, deliberately: the Theorem 1 error bound is
@@ -86,23 +72,6 @@ type Config struct {
 	// gauge, and the recmech_budget_ttl_seconds forecast — are computed.
 	// Default 1h.
 	SpendRateWindow time.Duration
-	// EstimateThreshold is the graph size (in edges) at which mode "auto"
-	// switches a graph workload from exact enumeration to the estimator tier
-	// (internal/estimate). 0 takes the default 500 000; negative disables
-	// auto-sampling entirely (explicit mode "sampled" still works). Exact
-	// enumeration on a graph past this size can take hours or exhaust
-	// memory; the estimator answers in milliseconds with a stated error
-	// contract. See OPERATIONS.md "Estimator tier".
-	EstimateThreshold int
-	// EstimateSamples is the estimator's sample budget when a sampled
-	// request does not carry its own. Default 20 000 (estimate.DefaultSamples).
-	EstimateSamples int
-	// DeltaKeepWindow is how many journalled dataset deltas may accumulate
-	// in the WAL before an append folds them into a full re-materialization
-	// of the dataset (see AppendDataset). Recovery replays the chain either
-	// way; the window only trades boot-time replay work against write
-	// amplification on the append path. Default 64.
-	DeltaKeepWindow int
 }
 
 func (c Config) withDefaults() Config {
@@ -114,9 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.CompileParallelism < 1 {
-		c.CompileParallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -133,28 +99,22 @@ func (c Config) withDefaults() Config {
 	if c.MaxJobs < 1 {
 		c.MaxJobs = 1024
 	}
-	if c.TraceRingEntries < 1 {
-		c.TraceRingEntries = 256
-	}
 	if c.SpendRateWindow <= 0 {
 		c.SpendRateWindow = time.Hour
-	}
-	if c.EstimateThreshold == 0 {
-		c.EstimateThreshold = 500_000
-	}
-	if c.EstimateSamples < 1 {
-		c.EstimateSamples = estimate.DefaultSamples
-	}
-	if c.DeltaKeepWindow < 1 {
-		c.DeltaKeepWindow = 64
 	}
 	return c
 }
 
-// releaseCacheEntries bounds the release cache: the oldest recorded
-// releases are evicted beyond it (a repeat then spends fresh ε), and a
-// durable store retains at least this many release records to replay.
-const releaseCacheEntries = 4096
+const (
+	// releaseCacheEntries bounds the release cache: the oldest recorded
+	// releases are evicted beyond it (a repeat then spends fresh ε). It is
+	// the durable store's default retention, so a store opened with the
+	// default retains every release the cache can replay.
+	releaseCacheEntries = store.DefaultMaxReleases
+	// traceRingEntries bounds the ring of recent completed traces behind
+	// GET /v1/traces; the oldest are evicted beyond it.
+	traceRingEntries = 256
+)
 
 // Service is the concurrent DP query service: registry + accountant +
 // executor + release cache behind one Query method. Construct with New,
@@ -186,8 +146,9 @@ type Service struct {
 	// compilePool is the one compute pool behind every fresh compile and
 	// ladder solve: enumeration shards and H/G probe waves from all
 	// concurrent queries borrow workers from it, so total compile
-	// concurrency is bounded by its size (plus one caller goroutine per
-	// in-flight query) instead of growing N·cores under N queries.
+	// concurrency is bounded by its size, GOMAXPROCS (plus one caller
+	// goroutine per in-flight query), instead of growing N·cores under N
+	// queries. Parallelism never changes an output bit (see internal/plan).
 	compilePool *pool.Pool
 	// compiles aggregates the profiles of fresh plan compiles, for
 	// GET /v1/stats.
@@ -220,12 +181,12 @@ func New(cfg Config) *Service {
 		cache: NewReleaseCache(releaseCacheEntries),
 		jobs:  newJobTable(cfg.MaxJobs),
 		met:   newServiceMetrics(cfg.SpendRateWindow),
-		tr:    trace.New(trace.Options{SampleEvery: cfg.TraceSampleEvery, Ring: cfg.TraceRingEntries}),
+		tr:    trace.New(trace.Options{SampleEvery: cfg.TraceSampleEvery, Ring: traceRingEntries}),
 		slots: make(chan *rand.Rand, cfg.Workers),
 		plans: plan.NewCache(cfg.PlanEntries),
 		// Pool workers beyond the scheduler's parallelism could only
 		// time-slice, which buys overhead and no overlap.
-		compilePool: pool.New(min(cfg.CompileParallelism, runtime.GOMAXPROCS(0))),
+		compilePool: pool.New(runtime.GOMAXPROCS(0)),
 	}
 	for i := range cfg.Workers {
 		s.slots <- noise.NewRand(cfg.Seed + int64(i))
@@ -246,7 +207,6 @@ func NewWithStore(cfg Config, st *store.Store) (*Service, []error) {
 	s := New(cfg)
 	s.store = st
 	s.met.bindStore(st)
-	st.SetMaxReleases(releaseCacheEntries) // retain at least what the cache can replay
 	s.acct.SetJournal(st)
 	for name, l := range st.Ledgers() {
 		s.acct.Restore(name, l.Total, l.Spent)
@@ -555,9 +515,8 @@ type prepared struct {
 }
 
 // planFor is the zero-ε plan path behind Prepare and Advise: normalize the
-// request; resolve its dataset, and "auto" against that dataset, so the
-// plan is the tier a Query would run; trace the path as op only when the
-// plan is cold — no completed plan is cached for the key, so a compile (or
+// request; resolve its dataset; trace the path as op only when the plan is
+// cold — no completed plan is cached for the key, so a compile (or
 // a join onto one in flight) follows; fetch or compile the plan under a
 // worker slot, warming its ladder for req.Epsilon when warm is set and
 // retrying a flight leader's cancellation; and finish the trace.
@@ -569,7 +528,6 @@ func (s *Service) planFor(ctx context.Context, op string, req *Request, warm boo
 	if err != nil {
 		return prepared{}, err
 	}
-	req.resolveMode(ds, s.cfg)
 	var root *trace.Span
 	tctx := ctx
 	if pk, kerr := req.ensurePlanKey(ds); kerr == nil && !s.plans.Has(pk) {
@@ -618,16 +576,14 @@ func retryLeaderCancel(ctx context.Context, op func() error) error {
 	}
 }
 
-// PrepareInfo reports the outcome of a Prepare call. No ε is spent and
-// nothing derived from the data is disclosed.
+// PrepareInfo reports the outcome of a Prepare call. No ε is spent, yet
+// Compile discloses counts of the data: its Tuples is the exact answer of
+// every exact count plan (see plan.CompileProfile).
 type PrepareInfo struct {
 	Dataset string `json:"dataset"`
 	Kind    string `json:"kind"`
 	Privacy string `json:"privacy"`
-	// Mode is the resolved compile tier ("exact" or "sampled") — the wire
-	// request's "auto" resolved against the dataset's size. Caller-visible
-	// unconditionally: it discloses only the dataset's coarse size class,
-	// which the registry listing already reports.
+	// Mode is the compile tier the request selected ("exact" or "sampled").
 	Mode string `json:"mode,omitempty"`
 	// AlreadyPrepared is true when the plan was cached before this call.
 	AlreadyPrepared bool `json:"alreadyPrepared"`
@@ -673,11 +629,7 @@ func (s *Service) do(ctx context.Context, req *Request, pre *Reservation, forceT
 		s.met.recordQuery(req.Dataset, req.Kind, false, false, false, req.Epsilon, start, err)
 		return Response{}, settleErr(pre, err)
 	}
-	// Resolve "auto" into exact or sampled before any key derivation: the
-	// resolved mode is part of the workload identity (a sampled estimate and
-	// an exact answer must never share a recorded release).
-	req.resolveMode(ds, s.cfg)
-	// The access log shows the tier that actually served the query.
+	// The access log shows the tier that served the query.
 	if ri := reqInfoOf(ctx); ri != nil {
 		ri.mode = req.Mode
 	}

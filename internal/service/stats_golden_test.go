@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"regexp"
+	"runtime"
 	"testing"
 
 	"recmech/internal/graph"
@@ -148,8 +149,10 @@ func TestStatsWireShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	// One compile worker keeps compiles.last.sharded false on any machine.
-	s, warns := NewWithStore(Config{DatasetBudget: 10, Workers: 1, CompileParallelism: 1, Seed: 1}, st)
+	// One compile worker (GOMAXPROCS 1) keeps compiles.last.sharded false
+	// on any machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s, warns := NewWithStore(Config{DatasetBudget: 10, Workers: 1, Seed: 1}, st)
 	if len(warns) != 0 {
 		t.Fatalf("boot warnings: %v", warns)
 	}

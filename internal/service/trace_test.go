@@ -467,12 +467,14 @@ func TestAccessLogCarriesTraceID(t *testing.T) {
 }
 
 // TestTraceHammer exercises tracing under real concurrency (run with
-// -race): distinct fresh compiles, coalesced identical compiles, warm
-// repeats, and a small retention ring, all at once. Every trace must keep a
-// well-nested tree, IDs must never collide, and the ring must stay bounded.
+// -race): distinct fresh compiles, coalesced identical compiles and warm
+// releases, every one traced, until more traces have finished than the
+// retention ring holds. Every trace must keep a well-nested tree, IDs must
+// never collide, and the ring must stay bounded.
 func TestTraceHammer(t *testing.T) {
-	const ring = 8
-	svc := New(Config{DatasetBudget: 1e9, Seed: 1, Workers: 4, TraceRingEntries: ring})
+	const workers = 6
+	const perWorker = traceRingEntries/workers + 8
+	svc := New(Config{DatasetBudget: 1e9, Seed: 1, Workers: 4, TraceSampleEvery: 1})
 	g := graph.RandomAverageDegree(noise.NewRand(7), 18, 4)
 	if err := svc.AddGraph("g", g); err != nil {
 		t.Fatalf("AddGraph: %v", err)
@@ -481,13 +483,14 @@ func TestTraceHammer(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
-	for w := 0; w < 6; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 3; i++ {
+			for i := 0; i < perWorker; i++ {
 				// Workers pair up on k (w/2): every compile has at least one
-				// coalescing or plan-cache-racing twin.
+				// coalescing or plan-cache-racing twin. Every ε is distinct,
+				// so no query replays (replays are not traced).
 				k := 2 + w/2
 				eps := 0.001 * float64(w*131+i+1)
 				if _, err := svc.Query(ctx, Request{Dataset: "g", Kind: KindKStars, K: k, Epsilon: eps}); err != nil {
@@ -504,8 +507,9 @@ func TestTraceHammer(t *testing.T) {
 	}
 
 	sums := svc.Traces()
-	if len(sums) > ring {
-		t.Fatalf("ring holds %d traces, bound is %d", len(sums), ring)
+	if len(sums) != traceRingEntries {
+		t.Fatalf("ring holds %d traces after %d queries, want exactly its bound %d",
+			len(sums), workers*perWorker, traceRingEntries)
 	}
 	seen := map[string]bool{}
 	for _, s := range sums {
@@ -526,7 +530,8 @@ func TestTraceHammer(t *testing.T) {
 	if st.Started != st.Finished {
 		t.Fatalf("tracer leaked traces: %+v", st)
 	}
-	if st.Retained > ring {
-		t.Fatalf("retained %d > ring %d", st.Retained, ring)
+	if st.Finished != workers*perWorker || st.Retained != traceRingEntries {
+		t.Fatalf("tracer finished %d and retained %d traces, want %d and %d",
+			st.Finished, st.Retained, workers*perWorker, traceRingEntries)
 	}
 }

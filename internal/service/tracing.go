@@ -32,7 +32,7 @@ func (s *Service) primed(pk string) bool {
 func (s *Service) Tracer() *trace.Tracer { return s.tr }
 
 // Traces lists summaries of recently completed traces, newest first
-// (GET /v1/traces). The ring is bounded by Config.TraceRingEntries.
+// (GET /v1/traces). The ring holds at most traceRingEntries.
 func (s *Service) Traces() []trace.Summary { return s.tr.Recent() }
 
 // Trace returns one retained trace's full span tree by ID
@@ -61,9 +61,8 @@ func noteTrace(ctx context.Context, id string) {
 func annotateRoot(root *trace.Span, ds *Dataset, req *Request) {
 	root.Str("dataset", ds.Name).Str("kind", req.Kind).
 		Str("privacy", req.Privacy).Float("epsilon", req.Epsilon)
-	// The resolved compile tier, for sampled plans only (exact traces keep
-	// their pre-estimator shape): callers annotate after resolveMode, so
-	// "auto" never appears here.
+	// The compile tier, for sampled plans only (exact traces keep their
+	// pre-estimator shape).
 	if req.Mode == ModeSampled {
 		root.Str("mode", ModeSampled)
 		if req.spec != nil {

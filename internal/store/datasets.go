@@ -133,6 +133,22 @@ func (d *Datasets) putGraph(name string, g *graph.Graph, edgeList []byte, floor 
 	return df, nil
 }
 
+// ReadTables reads each table's text from its file: files maps a table
+// name to the path holding it. It is the one reader behind stored
+// relational datasets and tables loaded from local files; ParseTables
+// validates and parses what it returns.
+func ReadTables(files map[string]string) (map[string][]byte, error) {
+	texts := make(map[string][]byte, len(files))
+	for tbl, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		texts[tbl] = data
+	}
+	return texts, nil
+}
+
 // ParseTables parses a set of named annotated tables (query.LoadTable
 // format) into one database sharing a participant universe, returning the
 // sorted table names. Parsing happens in sorted-name order so universe
@@ -349,25 +365,14 @@ func (d *Datasets) loadLocked(name string) (*DatasetFile, error) {
 			return nil, err
 		}
 	case KindRelational:
-		u := boolexpr.NewUniverse()
-		db := query.NewDatabase()
-		tables := append([]string(nil), m.Tables...)
-		sort.Strings(tables) // same order as PutTables: identical universe allocation
-		for _, tbl := range tables {
-			if err := ValidateName(tbl); err != nil {
-				return nil, err
-			}
-			data, err := os.ReadFile(filepath.Join(verDir, tbl+".tbl"))
-			if err != nil {
-				return nil, err
-			}
-			rel, err := query.LoadTable(bytes.NewReader(data), u)
-			if err != nil {
-				return nil, fmt.Errorf("table %q: %w", tbl, err)
-			}
-			db.Register(tbl, rel)
+		texts, err := readVersionTables(verDir, m.Tables)
+		if err != nil {
+			return nil, err
 		}
-		df.Universe, df.DB = u, db
+		// The same parse as PutTables: identical universe allocation.
+		if df.Universe, df.DB, _, err = ParseTables(texts); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, fmt.Errorf("store: dataset %q has unknown kind %q", name, m.Kind)
 	}
@@ -396,16 +401,24 @@ func (d *Datasets) RawTables(name string) (map[string][]byte, uint64, error) {
 	if m.Kind != KindRelational {
 		return nil, 0, fmt.Errorf("store: dataset %q is not relational", name)
 	}
-	verDir := filepath.Join(d.dir, name, fmt.Sprintf("v%d", m.Version))
-	out := make(map[string][]byte, len(m.Tables))
-	for _, tbl := range m.Tables {
-		data, err := os.ReadFile(filepath.Join(verDir, tbl+".tbl"))
-		if err != nil {
-			return nil, 0, err
-		}
-		out[tbl] = data
+	texts, err := readVersionTables(filepath.Join(d.dir, name, fmt.Sprintf("v%d", m.Version)), m.Tables)
+	if err != nil {
+		return nil, 0, err
 	}
-	return out, m.Version, nil
+	return texts, m.Version, nil
+}
+
+// readVersionTables reads the tables a manifest names from verDir. The
+// names come from disk, so each is validated before it becomes a path.
+func readVersionTables(verDir string, tables []string) (map[string][]byte, error) {
+	files := make(map[string]string, len(tables))
+	for _, tbl := range tables {
+		if err := ValidateName(tbl); err != nil {
+			return nil, err
+		}
+		files[tbl] = filepath.Join(verDir, tbl+".tbl")
+	}
+	return ReadTables(files)
 }
 
 func (d *Datasets) readManifest(name string) (*manifest, error) {

@@ -27,17 +27,19 @@ type Config struct {
 	// the oldest beyond the bound are dropped at each compaction and at
 	// open. Dropping a release is always safe — a repeat of that query
 	// spends fresh ε — and the bound should match the serving cache's
-	// (which evicts on the same terms). 0 means the 4096 default.
+	// (which evicts on the same terms). 0 means DefaultMaxReleases.
 	MaxReleases int
 	// NoSync skips every fsync. Tests only: a crash may then lose
 	// arbitrarily many committed events, voiding the ledger guarantee.
 	NoSync bool
 }
 
-const (
-	defaultCompactBytes = 4 << 20
-	defaultMaxReleases  = 4096
-)
+const defaultCompactBytes = 4 << 20
+
+// DefaultMaxReleases is the recorded-release retention of a store opened
+// without Config.MaxReleases. The serving layer sizes its release cache by
+// it, so a default store retains every release that cache can replay.
+const DefaultMaxReleases = 4096
 
 // pruneReleases collapses duplicate keys (newest wins, keeping its
 // position) and drops the oldest entries beyond max.
@@ -275,7 +277,7 @@ func Open(cfg Config) (*Store, error) {
 		cfg.CompactBytes = defaultCompactBytes
 	}
 	if cfg.MaxReleases <= 0 {
-		cfg.MaxReleases = defaultMaxReleases
+		cfg.MaxReleases = DefaultMaxReleases
 	}
 	ledgerDir := filepath.Join(cfg.Dir, "ledger")
 	if err := os.MkdirAll(ledgerDir, 0o755); err != nil {
@@ -385,17 +387,6 @@ func (s *Store) Close() error {
 
 // Datasets returns the on-disk dataset store sharing this store's root.
 func (s *Store) Datasets() *Datasets { return s.datasets }
-
-// SetMaxReleases raises the recorded-release retention bound (it never
-// lowers it). The serving layer calls this so the journal retains at least
-// as many releases as its cache can replay.
-func (s *Store) SetMaxReleases(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n > s.cfg.MaxReleases {
-		s.cfg.MaxReleases = n
-	}
-}
 
 // Grant journals a (re)grant of a dataset's total budget.
 func (s *Store) Grant(dataset string, total float64) error {

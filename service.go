@@ -122,7 +122,8 @@ var (
 	// not positive and finite.
 	ErrInvalidTail = service.ErrInvalidTail
 	// ErrInvalidMode rejects a bad compile-mode selection (unknown mode, a
-	// sample budget out of range, or sampled mode on a SQL workload).
+	// sample budget without sampled mode or out of range, or sampled mode
+	// on a SQL workload).
 	ErrInvalidMode = service.ErrInvalidMode
 	// ErrAccuracyDisabled rejects tenant-facing accuracy requests on a
 	// service without the ExposeAccuracy opt-in (the Theorem 1 bound is
@@ -148,11 +149,10 @@ const (
 	KindPattern    = service.KindPattern
 )
 
-// Compile modes accepted by ServiceRequest.Mode: the server picks the tier
-// ("auto", the default), exhaustive enumeration ("exact"), or the sampling
-// estimator ("sampled"); see ServiceConfig.EstimateThreshold.
+// Compile modes accepted by ServiceRequest.Mode: exhaustive enumeration
+// ("exact", the default at any dataset size) or the sampling estimator
+// ("sampled", opted into per request).
 const (
-	ModeAuto    = service.ModeAuto
 	ModeExact   = service.ModeExact
 	ModeSampled = service.ModeSampled
 )
